@@ -71,25 +71,6 @@ class AuxGraph:
     def is_adjacent(self, u, v) -> bool:
         return (u, v) in self._edge_set
 
-    def distances_from(self, v) -> dict:
-        """BFS hop distances over the explicit edge list; unreachable
-        vertices are absent from the result."""
-        if v not in self._adj:
-            raise InputError(f"vertex {v!r} not in auxiliary graph")
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    def distance(self, u, v) -> int | None:
-        """BFS distance, or None when u and v are in different components."""
-        return self.distances_from(u).get(v)
-
 
 @dataclass(frozen=True)
 class ComponentReport:

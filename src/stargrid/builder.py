@@ -65,7 +65,8 @@ class TilingPlan:
 
 
 def _check_positive(m: int, n: int) -> None:
-    if not (isinstance(m, int) and isinstance(n, int)) or m < 1 or n < 1:
+    sides_are_ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (m, n))
+    if not sides_are_ints or m < 1 or n < 1:
         raise InputError(f"grid dimensions must be integers >= 1, got ({m}, {n})")
 
 

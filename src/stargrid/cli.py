@@ -112,7 +112,6 @@ def _cmd_oracle(args) -> int:
     budget = SearchBudget(
         max_subset_size=args.max_subset_size,
         max_candidates=args.max_candidates,
-        use_symmetry=args.symmetry,
     )
     dim, witness = brute_force_dimension(g, budget)
     payload = {
@@ -210,9 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force dimension search (small grids)")
     _add_grid_args(p)
-    p.add_argument("--max-candidates", type=int, default=10_000_000)
-    p.add_argument("--max-subset-size", type=int, default=16)
-    p.add_argument("--symmetry", action="store_true")
+    p.add_argument("--max-candidates", type=_positive, default=10_000_000)
+    p.add_argument("--max-subset-size", type=_positive, default=16)
     p.add_argument("--enumerate", action="store_true",
                    help="also list every minimum basis")
     p.set_defaults(func=_cmd_oracle)

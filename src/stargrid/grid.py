@@ -124,7 +124,7 @@ class GridGraph:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (self.m, self.n)):
             raise InputError("grid dimensions must be integers")
         if self.m < 1 or self.n < 1:
             raise InputError(f"grid dimensions must be >= 1, got ({self.m}, {self.n})")

@@ -4,18 +4,19 @@ Everything here works from breadth-first-search distances over the explicit
 neighbor lists, never from the closed-form metric, so results can be used
 to validate the closed forms and the constructed landmark sets.
 
-The subset searches enumerate candidates in canonical lexicographic order
-and prune a candidate the moment some vertex pair is left unresolved; pairs
-are scanned hardest-first (fewest resolvers first), which lets scans of
-tens of millions of candidates finish in minutes.  Budgets are enforced up
-front: a level of the search is never started unless its full candidate
-count fits, so a call either completes or fails fast with
+One subset scan serves every search -- the dimension, minimum-basis
+enumeration, hub-free and adjacency-dimension searches.  Each search turns
+its host into one bitmask per vertex pair (which vertices tell the pair
+apart), and the scan enumerates candidates in canonical lexicographic order,
+pruning a candidate the moment some pair is left unresolved; pairs are
+scanned hardest-first (fewest resolvers first), which lets scans of tens of
+millions of candidates finish in minutes.  Budgets are enforced up front: a
+level of the search is never started unless its full candidate count fits,
+so a call either completes or fails fast with
 :class:`~stargrid.errors.BudgetError` -- it never returns a wrong answer.
 
 Enumeration order is a deterministic contract: for a fixed instance the
-reported dimension, witness, and basis list are identical run to run (and
-would be for any partitioning of the scan, since the aggregation is a
-minimum over a fixed order).
+reported dimension, witness, and basis list are identical run to run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .grid import Cell, Col, GridGraph, Row, transpose
+from .grid import GridGraph
 from .resolve import ResolvingSet, is_resolving
 
 
@@ -37,15 +38,10 @@ class SearchBudget:
 
     ``max_candidates`` bounds the cumulative number of subsets a single
     call may enumerate, estimated before each level starts.
-    ``use_symmetry`` lets full all-fail levels skip subsets that a row or
-    column swap maps to something lexicographically smaller; the final
-    witness level always rescans unreduced, so results are identical either
-    way.
     """
 
     max_subset_size: int = 16
     max_candidates: int = 10_000_000
-    use_symmetry: bool = False
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -143,83 +139,33 @@ def _gate(budget: SearchBudget, planned: int, context: str) -> None:
         )
 
 
-def _first_resolving(indices, k: int, pair_masks) -> tuple[int, ...] | None:
-    """First k-subset of ``indices`` (lexicographic order) that splits
-    every pair, or None."""
-    bit_of = {i: 1 << i for i in indices}
-    index_of_bit = {b: i for i, b in bit_of.items()}
-    bits = [bit_of[i] for i in indices]
-    masks = pair_masks
-    for combo in itertools.combinations(bits, k):
-        subset = 0
-        for b in combo:
-            subset |= b
-        for pm in masks:
-            if not subset & pm:
-                break
-        else:
-            return tuple(index_of_bit[b] for b in combo)
-    return None
-
-
-def _symmetry_index_maps(g: GridGraph) -> list[list[int]]:
-    """Canonical-index permutations generating the grid's automorphisms:
-    adjacent row swaps, adjacent column swaps, and the diagonal flip when
-    the grid is square."""
-    maps: list[list[int]] = []
-    verts = g.vertices()
-
-    def as_map(vertex_map) -> list[int]:
-        return [g.index_of(vertex_map(v)) for v in verts]
-
-    for a in range(1, g.m):
-        def swap_rows(v, a=a):
-            if isinstance(v, Row) and v.i in (a, a + 1):
-                return Row(a + 1 if v.i == a else a)
-            if isinstance(v, Cell) and v.i in (a, a + 1):
-                return Cell(a + 1 if v.i == a else a, v.j)
-            return v
-        maps.append(as_map(swap_rows))
-    for b in range(1, g.n):
-        def swap_cols(v, b=b):
-            if isinstance(v, Col) and v.j in (b, b + 1):
-                return Col(b + 1 if v.j == b else b)
-            if isinstance(v, Cell) and v.j in (b, b + 1):
-                return Cell(v.i, b + 1 if v.j == b else b)
-            return v
-        maps.append(as_map(swap_cols))
-    if g.m == g.n:
-        maps.append(as_map(transpose))
-    return maps
-
-
-def _level_all_fail(indices, k: int, pair_masks, perms) -> bool:
-    """True when no k-subset resolves; may skip subsets that some generator
-    maps to a lexicographically smaller subset (each orbit keeps at least
-    its minimum, so a resolving subset cannot be missed)."""
+def _resolving_subsets(indices, k: int, pair_masks):
+    """Yield, in lexicographic order, every k-subset of ``indices`` (as an
+    index tuple) that meets every pair mask."""
     bits = [1 << i for i in indices]
-    perm_bits = [{1 << i: 1 << p[i] for i in indices} for p in perms]
-    masks = pair_masks
     for combo in itertools.combinations(bits, k):
-        subset = 0
-        for b in combo:
-            subset |= b
-        skip = False
-        for pb in perm_bits:
-            image = 0
-            for b in combo:
-                image |= pb[b]
-            if image < subset:
-                skip = True
-                break
-        if skip:
-            continue
-        for pm in masks:
+        subset = sum(combo)  # the bits are distinct, so this is their union
+        for pm in pair_masks:
             if not subset & pm:
                 break
         else:
-            return False
-    return True
+            yield tuple(b.bit_length() - 1 for b in combo)
+
+
+def _smallest_resolving(total: int, pair_masks, budget: SearchBudget,
+                        context: str) -> tuple[int, ...]:
+    """Lexicographically first resolving subset of ``range(total)`` at the
+    smallest size that has one, searching sizes in ascending order."""
+    planned = 0
+    for k in range(1, min(total, budget.max_subset_size) + 1):
+        planned += comb(total, k)
+        _gate(budget, planned, f"{context} at size {k}")
+        combo = next(_resolving_subsets(range(total), k, pair_masks), None)
+        if combo is not None:
+            return combo
+    raise BudgetError(
+        f"{context} found no resolving set of size <= {budget.max_subset_size}"
+    )
 
 
 def brute_force_dimension(
@@ -231,28 +177,16 @@ def brute_force_dimension(
     lexicographically first resolving subset at the minimal size and is
     re-checked with :func:`stargrid.resolve.is_resolving` before return.
     """
-    dist = bfs_distances(g)
-    total = g.vertex_count()
-    pair_masks = _pair_masks(dist)
-    perms = _symmetry_index_maps(g) if budget.use_symmetry else []
-    planned = 0
-    all_indices = range(total)
-    for k in range(1, min(total, budget.max_subset_size) + 1):
-        planned += comb(total, k)
-        _gate(budget, planned, f"dimension search on ({g.m}, {g.n}) at size {k}")
-        if budget.use_symmetry and _level_all_fail(all_indices, k, pair_masks, perms):
-            continue
-        combo = _first_resolving(all_indices, k, pair_masks)
-        if combo is not None:
-            witness = ResolvingSet(
-                tuple(g.vertex_at(i) for i in combo), verified=False, provenance="oracle"
-            )
-            if not is_resolving(g, witness):
-                raise RuntimeError("internal error: oracle witness fails is_resolving")
-            return k, ResolvingSet(witness.landmarks, verified=True, provenance="oracle")
-    raise BudgetError(
-        f"no resolving set of size <= {budget.max_subset_size} on ({g.m}, {g.n})"
+    pair_masks = _pair_masks(bfs_distances(g))
+    combo = _smallest_resolving(
+        g.vertex_count(), pair_masks, budget, f"dimension search on ({g.m}, {g.n})"
     )
+    witness = ResolvingSet(
+        tuple(g.vertex_at(i) for i in combo), verified=False, provenance="oracle"
+    )
+    if not is_resolving(g, witness):
+        raise RuntimeError("internal error: oracle witness fails is_resolving")
+    return len(combo), ResolvingSet(witness.landmarks, verified=True, provenance="oracle")
 
 
 def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET):
@@ -263,22 +197,10 @@ def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDG
     dist = bfs_distances(g)
     total = g.vertex_count()
     _gate(budget, comb(total, k), f"basis enumeration on ({g.m}, {g.n}) at size {k}")
-    pair_masks = _pair_masks(dist)
-    bits = [1 << i for i in range(total)]
-    index_of_bit = {b: i for i, b in enumerate(bits)}
-    for combo in itertools.combinations(bits, k):
-        subset = 0
-        for b in combo:
-            subset |= b
-        for pm in pair_masks:
-            if not subset & pm:
-                break
-        else:
-            yield ResolvingSet(
-                tuple(g.vertex_at(index_of_bit[b]) for b in combo),
-                verified=True,
-                provenance="oracle",
-            )
+    for combo in _resolving_subsets(range(total), k, _pair_masks(dist)):
+        yield ResolvingSet(
+            tuple(g.vertex_at(i) for i in combo), verified=True, provenance="oracle"
+        )
 
 
 def enumerate_minimum_bases(
@@ -297,43 +219,24 @@ def brute_force_adjacency_dimension(host, budget: SearchBudget = DEFAULT_BUDGET)
     """Smallest k admitting an adjacency-resolving k-subset of the host.
 
     Convention: the empty set never counts, so a one-vertex host has
-    adjacency dimension 1.  Hosts need ``vertices()`` and ``is_adjacent``;
-    truncated codes only see self (0), adjacent (1), or other (2), so no
-    distances are required.
+    adjacency dimension 1.  Hosts need ``vertices()`` and ``is_adjacent``.
+    The search runs on the truncated table (0 on the diagonal, 1 for
+    adjacent, 2 otherwise): S separates x and y exactly when S meets
+    {x, y} or the symmetric difference of their neighborhoods, which are
+    the columns where the two truncated rows differ.
     """
     verts = list(host.vertices())
     total = len(verts)
-    adj_mask = []
-    for v in verts:
-        mask = 0
-        for j, w in enumerate(verts):
+    table = np.full((total, total), 2, dtype=np.uint8)
+    for x, v in enumerate(verts):
+        for y, w in enumerate(verts):
             if v != w and host.is_adjacent(v, w):
-                mask |= 1 << j
-        adj_mask.append(mask)
-    bits = [1 << i for i in range(total)]
-    planned = 0
-    for k in range(1, min(total, budget.max_subset_size) + 1):
-        planned += comb(total, k)
-        _gate(budget, planned, f"adjacency-dimension search at size {k}")
-        for combo in itertools.combinations(range(total), k):
-            smask = 0
-            for i in combo:
-                smask |= bits[i]
-            seen = set()
-            ok = True
-            for v in range(total):
-                if bits[v] & smask:
-                    continue  # landmarks carry a unique 0 entry
-                sig = adj_mask[v] & smask
-                if sig in seen:
-                    ok = False
-                    break
-                seen.add(sig)
-            if ok:
-                return k
-    raise BudgetError(
-        f"no adjacency resolving set of size <= {budget.max_subset_size}"
+                table[x, y] = 1
+    np.fill_diagonal(table, 0)
+    combo = _smallest_resolving(
+        total, _pair_masks(table), budget, "adjacency-dimension search"
     )
+    return len(combo)
 
 
 def exists_hub_free_basis(
@@ -349,4 +252,4 @@ def exists_hub_free_basis(
     total = g.vertex_count()
     _gate(budget, comb(total - 1, k), f"hub-free search on ({g.m}, {g.n}) at size {k}")
     pair_masks = _pair_masks(dist)
-    return _first_resolving(range(1, total), k, pair_masks) is not None
+    return next(_resolving_subsets(range(1, total), k, pair_masks), None) is not None

@@ -35,8 +35,6 @@ def test_single_stacked_pair_gives_five_path():
     assert aux.is_adjacent(Primed(Cell(1, 1)), Row(1))
     assert aux.is_adjacent(Primed(Cell(1, 1)), Col(1))
     assert aux.is_adjacent(Primed(Cell(2, 1)), Row(2))
-    assert aux.distance(Row(1), Row(2)) == 4
-    assert aux.distance(Row(1), Col(2)) is None
 
 
 def test_empty_landmark_set_all_relays_isolated():

@@ -42,6 +42,8 @@ def test_dimension_rejects_bad_input():
         dimension(0, 3)
     with pytest.raises(InputError):
         dimension(3, -1)
+    with pytest.raises(InputError):
+        dimension(True, 5)
 
 
 def test_dimension_weakly_monotone_small():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stargrid.cli import main
 
 
@@ -135,6 +137,14 @@ def test_oracle_budget_exceeded(capsys):
                            "--max-candidates", "100000")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-candidates", "-5"),
+                                         ("--max-subset-size", "-1")])
+def test_oracle_rejects_negative_budget(capsys, flag, value):
+    code, _, err = run_cli(capsys, "oracle", "--m", "2", "--n", "2", flag, value)
+    assert code == 2
+    assert "budget error" not in err
 
 
 def test_oracle_enumerate(capsys):

@@ -77,6 +77,8 @@ def test_neighbors_rejects_out_of_range():
         g.distance(HUB, Cell(1, 3))
     with pytest.raises(InputError):
         GridGraph(0, 3)
+    with pytest.raises(InputError):
+        GridGraph(True, 2)
 
 
 def test_distance_table_examples():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,15 @@ from stargrid import (
     bfs_distances,
     brute_force_adjacency_dimension,
     brute_force_dimension,
+    build_aux_graph,
     build_basis,
     dimension,
     enumerate_minimum_bases,
     exists_hub_free_basis,
     full_distance_matrix,
+    is_adjacency_resolving,
     is_resolving,
+    iter_minimum_bases,
 )
 
 
@@ -69,14 +74,26 @@ def test_brute_force_agrees_with_formula_small():
             assert is_resolving(GridGraph(m, n), witness)
 
 
-def test_brute_force_deterministic_and_symmetry_independent():
-    # the square grid also exercises the diagonal-flip generator
+def test_brute_force_deterministic():
     for m, n in [(2, 4), (3, 3)]:
         g = GridGraph(m, n)
-        base = brute_force_dimension(g)
-        again = brute_force_dimension(g)
-        reduced = brute_force_dimension(g, SearchBudget(use_symmetry=True))
-        assert base == again == reduced
+        assert brute_force_dimension(g) == brute_force_dimension(g)
+
+
+def test_witness_is_first_enumerated_basis():
+    for m, n in itertools.product((1, 2), range(1, 5)):
+        for g in (GridGraph(m, n), GridGraph(n, m)):
+            k, witness = brute_force_dimension(g)
+            assert next(iter_minimum_bases(g, k)).landmarks == witness.landmarks, g
+
+
+def test_hub_free_search_matches_enumeration():
+    for m, n in itertools.product((1, 2), range(1, 5)):
+        for g in (GridGraph(m, n), GridGraph(n, m)):
+            k = dimension(m, n)
+            for size in range(max(1, k - 1), k + 1):
+                expected = any(HUB not in b.landmarks for b in iter_minimum_bases(g, size))
+                assert exists_hub_free_basis(g, size) == expected, (g, size)
 
 
 def test_brute_force_budget_refusal():
@@ -138,6 +155,26 @@ def test_adjacency_dimension_budget():
     with pytest.raises(BudgetError):
         brute_force_adjacency_dimension(SimpleGraph.cycle(30),
                                         SearchBudget(max_candidates=50))
+
+
+def _adjacency_dimension_by_definition(host) -> int:
+    verts = host.vertices()
+    for k in range(1, len(verts) + 1):
+        if any(is_adjacency_resolving(host, verts, s)
+               for s in itertools.combinations(verts, k)):
+            return k
+    raise AssertionError("the full vertex set always adjacency-resolves")
+
+
+def test_adjacency_dimension_matches_definition():
+    hosts = ([SimpleGraph.path(order) for order in range(1, 8)]
+             + [SimpleGraph.cycle(order) for order in range(3, 8)]
+             + [SimpleGraph.star(leaves) for leaves in range(1, 7)]
+             + [build_aux_graph(GridGraph(m, n), build_basis(m, n).landmarks)
+                for m, n in [(2, 2), (2, 3), (3, 3)]])
+    for host in hosts:
+        assert (brute_force_adjacency_dimension(host)
+                == _adjacency_dimension_by_definition(host)), host.vertices()
 
 
 def test_exists_hub_free_basis_small():
