@@ -74,10 +74,13 @@ def test_brute_force_agrees_with_formula_small():
             assert is_resolving(GridGraph(m, n), witness)
 
 
-def test_brute_force_deterministic():
+def test_brute_force_deterministic_and_symmetry_independent():
+    # the dimension is a graph invariant, so the transposed grid must agree
     for m, n in [(2, 4), (3, 3)]:
         g = GridGraph(m, n)
-        assert brute_force_dimension(g) == brute_force_dimension(g)
+        base = brute_force_dimension(g)
+        assert base == brute_force_dimension(g)
+        assert base[0] == brute_force_dimension(GridGraph(n, m))[0]
 
 
 def test_witness_is_first_enumerated_basis():
