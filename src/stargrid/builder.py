@@ -22,6 +22,7 @@ remainder 1 leaves the last column untouched, remainder 2 additionally puts
 the last row relay itself into the landmark set.  Every constructed set is
 verified with :func:`stargrid.resolve.is_resolving` before it is returned;
 a verification failure is an internal error, never an expected outcome.
+Construction and verification are both O(m + n), so the whole call is.
 """
 
 from __future__ import annotations
@@ -139,8 +140,10 @@ def build_basis(m: int, n: int) -> ResolvingSet:
 
     The result has exactly dimension(m, n) landmarks, never contains the
     hub, and is deterministic for fixed inputs.  Verification is a hard
-    postcondition: the constructed set is re-checked against the full code
-    injectivity test before being handed back.
+    postcondition: the constructed set is re-checked for code injectivity
+    over every vertex before being handed back.  The check reads only which
+    rows and columns the landmarks touch, so it adds O(m + n) time and
+    memory, and no (m n)-sized array is ever built.
     """
     _check_positive(m, n)
     reg = regime_of(m, n)

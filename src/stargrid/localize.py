@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .grid import GridGraph, Vertex
-from .resolve import ResolvingSet, code_matrix
+from .grid import GridGraph, Vertex, vertex_name
+from .resolve import ResolvingSet, code_matrix, is_resolving
 
 _METRICS = ("hamming", "l1")
 
@@ -57,11 +57,23 @@ class DecodeResult:
 
 
 class CodeTable:
-    """Ideal hop-count signature of every vertex for a fixed landmark set."""
+    """Ideal hop-count signature of every vertex for a fixed landmark set.
+
+    The landmarks are re-checked against this grid: a set verified on
+    another grid, or flagged ``verified`` by hand, is refused rather than
+    allowed to make decoding silently ambiguous.
+    """
 
     def __init__(self, g: GridGraph, landmarks: ResolvingSet):
         if not isinstance(landmarks, ResolvingSet) or not landmarks.verified:
             raise InputError("code tables require a verified resolving set")
+        verdict = is_resolving(g, landmarks)
+        if not verdict:
+            x, y = verdict.witness
+            raise InputError(
+                f"landmark set does not resolve grid ({g.m}, {g.n}): "
+                f"{vertex_name(x)} and {vertex_name(y)} share a code"
+            )
         self.graph = g
         self.landmarks = landmarks
         self.matrix = code_matrix(g, landmarks.landmarks).astype(np.int16)
@@ -82,20 +94,18 @@ class CodeTable:
         return tuple(int(x) for x in self.matrix[self.graph.index_of(v)])
 
     def _min_pairwise_l1(self) -> int:
+        """Smallest L1 distance between two codes; >= 1 since the set resolves."""
         mat = self.matrix
         total = mat.shape[0]
-        best = None
         block = max(1, 2_000_000 // (total * max(1, mat.shape[1])))
+        chunk_mins = []
         for lo in range(0, total, block):
             hi = min(total, lo + block)
             diff = np.abs(mat[lo:hi, None, :] - mat[None, :, :]).sum(axis=2)
             for r in range(hi - lo):
                 diff[r, lo + r] = np.iinfo(diff.dtype).max
-            chunk_min = int(diff.min())
-            if best is None or chunk_min < best:
-                best = chunk_min
-        assert best is not None and best >= 1  # the set resolves
-        return best
+            chunk_mins.append(int(diff.min()))
+        return min(chunk_mins)
 
 
 def code_table(g: GridGraph, landmarks: ResolvingSet) -> CodeTable:

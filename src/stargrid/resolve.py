@@ -6,10 +6,12 @@ variant truncates distances at 2, so only "is a landmark" (0), "adjacent"
 (1), and "everything else" (2) survive; it is used on the small auxiliary
 graphs built in :mod:`stargrid.auxgraph`.
 
-Verification sorts the N x k code matrix rather than comparing pairs, which
-keeps sweeps over grids with hundreds of relays per side tractable.  Failed
-checks return a deterministic witness: the first colliding pair in canonical
-vertex order.
+Verification never builds codes.  Whether two vertices collide depends only
+on whether each is a landmark and on which rows and columns the landmarks
+touch (the relay neighbourhoods of the auxiliary graph), so
+:func:`is_resolving` decides it from per-row and per-column counts in
+O(m + n + k) time and memory.  Failed checks return a deterministic witness:
+the first colliding pair in canonical vertex order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .grid import Col, GridGraph, Hub, Row, Vertex, parse_vertex
+from .grid import HUB, Cell, Col, GridGraph, Hub, Row, Vertex, parse_vertex
 
 MetricCode = tuple[int, ...]
 AdjacencyCode = tuple[int, ...]
@@ -42,8 +44,9 @@ class ResolvingSet:
     """An ordered, duplicate-free landmark list.
 
     ``verified`` is only set by code paths that ran a full resolution check
-    on this exact landmark tuple.  ``provenance`` records where the set came
-    from: ``constructed-regime-A/B/C/D``, ``oracle``, or ``user``.
+    on this exact landmark tuple; code tables still re-check it against
+    their own grid.  ``provenance`` records where the set came from:
+    ``constructed-regime-A/B/C/D``, ``oracle``, or ``user``.
     """
 
     landmarks: tuple[Vertex, ...]
@@ -137,24 +140,102 @@ def full_distance_matrix(g: GridGraph) -> np.ndarray:
 
 
 def is_resolving(g: GridGraph, W) -> Verdict:
-    """Check code injectivity over all vertices of g.
+    """Check code injectivity over all vertices of g in O(m + n + k).
 
     Returns a truthy verdict, or the lexicographically first colliding pair
     (by canonical vertex index) as a reproducible witness.
+
+    Call a row *untouched* when neither its relay nor any cell in it is a
+    landmark (likewise for columns).  From the distance table in
+    :mod:`stargrid.grid`, two distinct non-landmark vertices collide exactly
+    when they fall under one of these cases:
+
+    * the hub and cell (i, j): every row landmark is r_i, every column
+      landmark is c_j, and every cell landmark lies in row i or column j;
+    * two rows, two columns, or a row and a column: both untouched;
+    * r_i and c_j: cell (i, j) is a landmark, the only one in its row and
+      its column;
+    * two cells in one row (column): both their columns (rows) untouched;
+    * cells (i, j) and (i', j'), i != i', j != j': none of the four relays
+      is a landmark and the cell landmarks in those rows and columns lie in
+      {(i, j'), (i', j)}.
+
+    A relay never collides with the hub or a cell: the grid is bipartite, so
+    each landmark is at odd distance from one and even from the other.  Each
+    cell case implies a relay case (two untouched rows or columns, an
+    untouched row and column, or a lone landmark cell at (i, j')), and
+    relays precede cells in canonical order, so the first colliding pair is
+    found among the hub and the relays without scanning cells.
     """
     lm = _ordered_landmarks(g, W)
-    codes = np.ascontiguousarray(code_matrix(g, lm))
-    total, k = codes.shape
-    keyed = codes.view(np.dtype((np.void, codes.dtype.itemsize * k))).ravel()
-    order = np.argsort(keyed, kind="stable")
-    srt = keyed[order]
-    dup = srt[1:] == srt[:-1]
-    if not dup.any():
-        return Verdict(True)
-    starts = np.flatnonzero(dup)
-    best = starts[int(np.argmin(order[starts]))]
-    x, y = int(order[best]), int(order[best + 1])
-    return Verdict(False, (g.vertex_at(x), g.vertex_at(y)))
+    m, n = g.m, g.n
+    hub_in = False
+    row_in: set[int] = set()
+    col_in: set[int] = set()
+    cells: set[tuple[int, int]] = set()
+    row_cells = [0] * (m + 1)
+    col_cells = [0] * (n + 1)
+    for w in lm:
+        g.validate(w)
+        if isinstance(w, Hub):
+            hub_in = True
+        elif isinstance(w, Row):
+            row_in.add(w.i)
+        elif isinstance(w, Col):
+            col_in.add(w.j)
+        else:
+            cells.add((w.i, w.j))
+            row_cells[w.i] += 1
+            col_cells[w.j] += 1
+    pair = None
+    if not hub_in:
+        pair = _hub_partner(m, n, row_in, col_in, cells, row_cells, col_cells)
+    if pair is None:
+        pair = _relay_pair(m, n, row_in, col_in, cells, row_cells, col_cells)
+    return Verdict(True) if pair is None else Verdict(False, pair)
+
+
+def _hub_partner(m, n, row_in, col_in, cells, row_cells, col_cells):
+    """(hub, first cell colliding with it), or None; the hub is no landmark.
+
+    Cell (i, j) collides when it is no landmark, r_i and c_j cover the relay
+    landmarks and row_cells[i] + col_cells[j] counts every cell landmark.
+    Columns are bucketed by count, so each row scans only past its own
+    landmark cells: O(m + n + k) in all.
+    """
+    if len(row_in) > 1 or len(col_in) > 1:
+        return None
+    by_count: dict[int, list[int]] = {}
+    for j in sorted(col_in) or range(1, n + 1):
+        by_count.setdefault(col_cells[j], []).append(j)
+    for i in sorted(row_in) or range(1, m + 1):
+        for j in by_count.get(len(cells) - row_cells[i], ()):
+            if (i, j) not in cells:
+                return HUB, Cell(i, j)
+    return None
+
+
+def _relay_pair(m, n, row_in, col_in, cells, row_cells, col_cells):
+    """First colliding pair of relays in canonical order, or None."""
+    lone_col = {i: j for i, j in cells if row_cells[i] == 1}
+    free_rows = [i for i in range(1, m + 1) if i not in row_in and not row_cells[i]]
+    free_cols = [j for j in range(1, n + 1) if j not in col_in and not col_cells[j]]
+    for i in range(1, m + 1):
+        if i in row_in:
+            continue
+        if not row_cells[i]:
+            # i is free_rows[0]: an earlier untouched row would have matched
+            if len(free_rows) > 1:
+                return Row(i), Row(free_rows[1])
+            if free_cols:
+                return Row(i), Col(free_cols[0])
+        elif row_cells[i] == 1:
+            j = lone_col[i]
+            if col_cells[j] == 1 and j not in col_in:
+                return Row(i), Col(j)
+    if len(free_cols) > 1:
+        return Col(free_cols[0]), Col(free_cols[1])
+    return None
 
 
 def adjacency_code(host, v, S) -> AdjacencyCode:

@@ -1,0 +1,30 @@
+"""Reference resolution check for the tests: injectivity of the code matrix.
+
+This is the verifier :func:`stargrid.resolve.is_resolving` used before it
+became a structural check.  It sorts the full N x k code matrix, so it costs
+O(N k) memory and O(N k log N) time; keep it to small grids.  Returns the
+same ``Verdict``: truthy, or the lexicographically first colliding pair in
+canonical vertex order.
+"""
+
+import numpy as np
+
+from stargrid import GridGraph, Verdict, code_matrix
+
+
+def sort_is_resolving(g: GridGraph, landmarks) -> Verdict:
+    """Resolution check by sorting the rows of the code matrix."""
+    codes = np.ascontiguousarray(code_matrix(g, tuple(landmarks)))
+    total, k = codes.shape
+    keyed = codes.view(np.dtype((np.void, codes.dtype.itemsize * k))).ravel()
+    order = np.argsort(keyed, kind="stable")
+    srt = keyed[order]
+    dup = srt[1:] == srt[:-1]
+    if not dup.any():
+        return Verdict(True)
+    # the stable sort keeps equal codes in index order, so the start with the
+    # smallest vertex index begins the first colliding pair
+    starts = np.flatnonzero(dup)
+    best = starts[int(np.argmin(order[starts]))]
+    x, y = int(order[best]), int(order[best + 1])
+    return Verdict(False, (g.vertex_at(x), g.vertex_at(y)))

@@ -30,6 +30,18 @@ def test_code_table_requires_verified_set():
         code_table(g, [Cell(1, 1), Cell(1, 2)])
 
 
+def test_code_table_rechecks_basis_against_its_grid():
+    # verified on (5,7), but 8 landmarks cannot resolve (6,8), whose dimension is 9
+    with pytest.raises(InputError, match=r"does not resolve grid \(6, 8\)"):
+        code_table(GridGraph(6, 8), build_basis(5, 7))
+
+
+def test_code_table_rejects_forged_verified_flag():
+    forged = ResolvingSet((Cell(1, 1),), verified=True)
+    with pytest.raises(InputError, match="hub and a1,2 share a code"):
+        code_table(GridGraph(2, 2), forged)
+
+
 def test_min_pairwise_l1_balanced_grid():
     table = code_table(GridGraph(5, 7), build_basis(5, 7))
     assert table.min_pairwise_l1 == 2

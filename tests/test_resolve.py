@@ -1,8 +1,11 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import sort_is_resolving
 
 from stargrid import (
     HUB,
@@ -17,11 +20,15 @@ from stargrid import (
     adjacency_resolved_by_neighborhoods,
     build_aux_graph,
     build_basis,
+    dimension,
     is_adjacency_resolving,
     is_resolving,
     metric_code,
     parse_landmark_lines,
 )
+
+# Every grid with at most 20 vertices, both orientations.
+SMALL_GRIDS = [(m, n) for m in range(1, 10) for n in range(1, 10) if (m + 1) * (n + 1) <= 20]
 
 
 def test_metric_code_single_row_grid():
@@ -76,6 +83,97 @@ def test_is_resolving_accepts_sets_and_resolving_sets():
     assert is_resolving(g, {Cell(1, 1), Cell(1, 2)})
     rs = ResolvingSet((Cell(1, 1), Cell(1, 2)))
     assert is_resolving(g, rs)
+
+
+def test_is_resolving_rejects_bad_landmarks():
+    g = GridGraph(2, 3)
+    with pytest.raises(InputError, match="nonempty"):
+        is_resolving(g, [])
+    with pytest.raises(InputError, match="duplicate"):
+        is_resolving(g, [Cell(1, 1), Row(2), Cell(1, 1)])
+    for bad in (Row(3), Col(4), Cell(3, 1), Cell(1, 4), Cell(0, 1)):
+        with pytest.raises(InputError, match="out of range"):
+            is_resolving(g, [Cell(1, 1), bad])
+    with pytest.raises(InputError, match="not a vertex"):
+        is_resolving(g, [Cell(1, 1), "r1"])
+
+
+def _same_verdict(g, landmarks):
+    got, want = is_resolving(g, landmarks), sort_is_resolving(g, landmarks)
+    return (got.resolving, got.witness) == (want.resolving, want.witness)
+
+
+@pytest.mark.parametrize("m,n", SMALL_GRIDS)
+def test_structural_check_matches_sort_on_every_small_subset(m, n):
+    g = GridGraph(m, n)
+    verts = g.vertices()
+    for k in range(1, 5):
+        for subset in itertools.combinations(verts, k):
+            assert _same_verdict(g, subset), subset
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 4), (1, 5)])
+def test_structural_check_matches_sort_on_every_five_subset(m, n):
+    g = GridGraph(m, n)
+    for subset in itertools.combinations(g.vertices(), 5):
+        assert _same_verdict(g, subset), subset
+
+
+def test_structural_check_matches_sort_on_mutated_bases():
+    # a constructed basis sits right at the resolving boundary, so small
+    # edits to it give the close calls: dropped, swapped or added landmarks
+    rnd = random.Random(31)
+    for _ in range(600):
+        m, n = rnd.randint(1, 30), rnd.randint(1, 30)
+        g = GridGraph(m, n)
+        base = list(build_basis(m, n).landmarks)
+        others = [v for v in g.vertices() if v not in base]
+        pos = rnd.randrange(len(base))
+        dropped = base[:pos] + base[pos + 1:]
+        swapped = base[:pos] + [rnd.choice(others)] + base[pos + 1:]
+        with_hub = base + [HUB]
+        with_two = base + rnd.sample(others, 2)
+        for landmarks in (dropped, swapped, with_hub, with_two):
+            assert _same_verdict(g, landmarks), (m, n, landmarks)
+
+
+@st.composite
+def grids_with_landmarks(draw):
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    hub = [HUB] if draw(st.booleans()) else []
+    rows = draw(st.sets(st.integers(1, m), max_size=m))
+    cols = draw(st.sets(st.integers(1, n), max_size=n))
+    cells = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n)), max_size=2 * (m + n)))
+    landmarks = hub + [Row(i) for i in rows] + [Col(j) for j in cols] + [Cell(i, j) for i, j in cells]
+    assume(landmarks)
+    return GridGraph(m, n), draw(st.permutations(landmarks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_with_landmarks())
+def test_structural_check_matches_sort_on_drawn_sets(case):
+    g, landmarks = case
+    assert _same_verdict(g, landmarks)
+
+
+def test_verification_memory_is_linear_in_the_sides():
+    # the code-matrix sort peaked at 2.65 GB here
+    g = GridGraph(1000, 1000)
+    tracemalloc.start()
+    try:
+        basis = build_basis(1000, 1000)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        verdict = is_resolving(g, basis.landmarks[1:])
+        _, check_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.verified and len(basis) == dimension(1000, 1000)
+    assert not verdict
+    x, y = verdict.witness
+    assert x != y
+    assert metric_code(g, x, basis.landmarks[1:]) == metric_code(g, y, basis.landmarks[1:])
+    assert build_peak < 10 * 2**20 and check_peak < 10 * 2**20, (build_peak, check_peak)
 
 
 def test_resolving_set_rejects_duplicates():
