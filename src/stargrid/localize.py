@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .grid import GridGraph, Vertex, vertex_name
+from .grid import Cell, Col, GridGraph, Row, Vertex, vertex_name
 from .resolve import ResolvingSet, code_matrix, is_resolving
 
 _METRICS = ("hamming", "l1")
@@ -62,6 +62,36 @@ class CodeTable:
     The landmarks are re-checked against this grid: a set verified on
     another grid, or flagged ``verified`` by hand, is refused rather than
     allowed to make decoding silently ambiguous.
+
+    ``min_pairwise_l1`` is the smallest L1 distance between two codes,
+    computed from landmark counts rather than by comparing codes.  Let r_a
+    count the landmarks in row a (its relay or any cell (a, .)), c_b those
+    in column b, x_ab = 1 when cell (a, b) is a landmark, and s_ab = r_a +
+    c_b - 2 x_ab.  The grid is bipartite (hub and cells against relays),
+    so for two vertices on opposite sides every landmark's two distances
+    differ by an odd amount: their L1 is at least k (exactly k for an
+    adjacent pair).  Same-side pairs differ by even amounts per landmark
+    and read, from the distance table in :mod:`stargrid.grid`:
+
+    =============================================  ============================
+    pair                                           L1
+    =============================================  ============================
+    row relays a, a', or cells (a, b), (a', b)     2 (r_a + r_a')
+    column relays b, b', or cells (a, b), (a, b')  2 (c_b + c_b')
+    row relay a and column relay b                 2 s_ab
+    hub and cell (a, b)                            2 (k - s_ab)
+    cells (a, b), (a', b'), a != a', b != b'       2 (r_a + r_a' + c_b + c_b')
+                                                   - 4 (x_ab' + x_a'b)
+    =============================================  ============================
+
+    The last row exceeds the relay pair (a, b') by 2 s_a'b, which is
+    positive because row relay a' and column relay b would otherwise share
+    a code, so those cell pairs never attain the minimum.  Neither do
+    opposite-side pairs alone: relay pair (a, b) and the hub with cell
+    (a, b) read 2 s_ab and 2 (k - s_ab), which sum to 2k.  What is left
+    needs the two smallest row and column counts and the extremes of s
+    over the m x n grid: O(mn + k) work, against the O(N^2 k) of comparing
+    every pair of codes.
     """
 
     def __init__(self, g: GridGraph, landmarks: ResolvingSet):
@@ -94,18 +124,27 @@ class CodeTable:
         return tuple(int(x) for x in self.matrix[self.graph.index_of(v)])
 
     def _min_pairwise_l1(self) -> int:
-        """Smallest L1 distance between two codes; >= 1 since the set resolves."""
-        mat = self.matrix
-        total = mat.shape[0]
-        block = max(1, 2_000_000 // (total * max(1, mat.shape[1])))
-        chunk_mins = []
-        for lo in range(0, total, block):
-            hi = min(total, lo + block)
-            diff = np.abs(mat[lo:hi, None, :] - mat[None, :, :]).sum(axis=2)
-            for r in range(hi - lo):
-                diff[r, lo + r] = np.iinfo(diff.dtype).max
-            chunk_mins.append(int(diff.min()))
-        return min(chunk_mins)
+        """Closed form from the case table in the class docstring."""
+        m, n, k = self.graph.m, self.graph.n, len(self.landmarks)
+        rows = np.zeros(m, dtype=np.int64)
+        cols = np.zeros(n, dtype=np.int64)
+        cells = []
+        for w in self.landmarks:
+            if isinstance(w, (Row, Cell)):
+                rows[w.i - 1] += 1
+            if isinstance(w, (Col, Cell)):
+                cols[w.j - 1] += 1
+            if isinstance(w, Cell):
+                cells.append((w.i - 1, w.j - 1))
+        # s_ab = r_a + c_b - 2 x_ab
+        s = rows[:, None] + cols[None, :]
+        if cells:
+            s[tuple(zip(*cells))] -= 2
+        best = min(2 * int(s.min()), 2 * (k - int(s.max())))
+        for counts in (rows, cols):
+            if counts.shape[0] > 1:
+                best = min(best, 2 * int(np.partition(counts, 1)[:2].sum()))
+        return best
 
 
 def code_table(g: GridGraph, landmarks: ResolvingSet) -> CodeTable:
@@ -133,7 +172,7 @@ def decode(code, table: CodeTable, metric: str = "hamming") -> DecodeResult:
         dists = np.abs(table.matrix - arr).sum(axis=1)
     best = int(dists.min())
     hits = np.flatnonzero(dists == best)
-    verts = table.vertices()
+    verts = table._vertices
     if hits.shape[0] == 1:
         return DecodeResult(verts[int(hits[0])], best)
     return DecodeResult(None, best, ties=tuple(verts[int(i)] for i in hits))
@@ -201,7 +240,7 @@ def simulate(
     p = noise.flip_probability
     wrong = 0
     ties = 0
-    verts = table.vertices()
+    verts = table._vertices
     for t in range(first_trial, first_trial + trials):
         idx = t % total
         ideal = table.matrix[idx]

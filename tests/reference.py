@@ -1,10 +1,13 @@
-"""Reference resolution check for the tests: injectivity of the code matrix.
+"""Reference implementations for the tests, kept slow and independent.
 
-This is the verifier :func:`stargrid.resolve.is_resolving` used before it
-became a structural check.  It sorts the full N x k code matrix, so it costs
-O(N k) memory and O(N k log N) time; keep it to small grids.  Returns the
-same ``Verdict``: truthy, or the lexicographically first colliding pair in
-canonical vertex order.
+:func:`sort_is_resolving` is the verifier :func:`stargrid.resolve.is_resolving`
+used before it became a structural check.  It sorts the full N x k code
+matrix, so it costs O(N k) memory and O(N k log N) time; keep it to small
+grids.  Returns the same ``Verdict``: truthy, or the lexicographically first
+colliding pair in canonical vertex order.
+
+:func:`pairwise_min_l1` is the all-pairs scan ``CodeTable`` used for
+``min_pairwise_l1`` before the closed form over landmark counts: O(N^2 k).
 """
 
 import numpy as np
@@ -28,3 +31,17 @@ def sort_is_resolving(g: GridGraph, landmarks) -> Verdict:
     best = starts[int(np.argmin(order[starts]))]
     x, y = int(order[best]), int(order[best + 1])
     return Verdict(False, (g.vertex_at(x), g.vertex_at(y)))
+
+
+def pairwise_min_l1(g: GridGraph, landmarks) -> int:
+    """Smallest L1 distance between the codes of two distinct vertices."""
+    mat = code_matrix(g, tuple(landmarks)).astype(np.int16)
+    total = mat.shape[0]
+    block = max(1, 2_000_000 // (total * mat.shape[1]))
+    best = np.iinfo(np.int64).max
+    for lo in range(0, total, block):
+        hi = min(total, lo + block)
+        diff = np.abs(mat[lo:hi, None, :] - mat[None, :, :]).sum(axis=2, dtype=np.int64)
+        diff[np.arange(hi - lo), np.arange(lo, hi)] = best
+        best = min(best, int(diff.min()))
+    return best

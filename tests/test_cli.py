@@ -203,6 +203,16 @@ def test_localize_reproducible(capsys):
     assert out1 == out2
 
 
+def test_localize_large_grid_finishes(capsys):
+    # the all-pairs code scan this replaced never finished at this size
+    code, out, _ = run_cli(capsys, "localize", "--m", "300", "--n", "300",
+                           "--trials", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["min_pairwise_l1"] == 2
+    assert payload["basis_size"] == 400
+
+
 def test_localize_invalid_probability(capsys):
     code, _, err = run_cli(capsys, "localize", "--m", "2", "--n", "2",
                            "--noise", "1.5")

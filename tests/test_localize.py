@@ -1,16 +1,33 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference import pairwise_min_l1
 
 from stargrid import (
+    HUB,
     Cell,
+    Col,
     GridGraph,
+    Hub,
     InputError,
     NoiseModel,
     ResolvingSet,
+    Row,
     build_basis,
+    code_matrix,
     code_table,
     decode,
+    is_resolving,
+    parse_vertex,
     simulate,
 )
+
+# Every grid with at most 20 vertices, both orientations.
+SMALL_GRIDS = [(m, n) for m in range(1, 10) for n in range(1, 10) if (m + 1) * (n + 1) <= 20]
 
 
 def test_code_table_four_cycle():
@@ -45,6 +62,116 @@ def test_code_table_rejects_forged_verified_flag():
 def test_min_pairwise_l1_balanced_grid():
     table = code_table(GridGraph(5, 7), build_basis(5, 7))
     assert table.min_pairwise_l1 == 2
+
+
+def _table_l1(g, landmarks):
+    return code_table(g, ResolvingSet(tuple(landmarks), verified=True)).min_pairwise_l1
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_min_pairwise_l1_matches_scan_on_constructed_bases(m):
+    for n in range(1, 21):
+        g = GridGraph(m, n)
+        basis = build_basis(m, n)
+        assert code_table(g, basis).min_pairwise_l1 == pairwise_min_l1(g, basis), (m, n)
+
+
+@pytest.mark.parametrize("m,n", SMALL_GRIDS)
+def test_min_pairwise_l1_matches_scan_on_every_small_resolving_set(m, n):
+    g = GridGraph(m, n)
+    for k in range(1, 5):
+        for subset in itertools.combinations(g.vertices(), k):
+            if is_resolving(g, subset):
+                assert _table_l1(g, subset) == pairwise_min_l1(g, subset), subset
+
+
+def test_min_pairwise_l1_matches_scan_on_grown_bases():
+    # extra landmarks move every branch of the closed form: the hub raises
+    # only k and so the hub-cell term, relays and cells raise row and
+    # column counts
+    rnd = random.Random(41)
+    for _ in range(80):
+        m, n = rnd.randint(1, 30), rnd.randint(1, 30)
+        g = GridGraph(m, n)
+        base = list(build_basis(m, n).landmarks)
+        others = [v for v in g.vertices() if v not in base and v != HUB]
+        extra = rnd.sample(others, min(len(others), rnd.randint(1, 4)))
+        for landmarks in (base + [HUB], base + extra, base + extra + [HUB]):
+            assert _table_l1(g, landmarks) == pairwise_min_l1(g, landmarks), (m, n, landmarks)
+
+
+@st.composite
+def resolving_sets(draw):
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    hub = [HUB] if draw(st.booleans()) else []
+    rows = draw(st.sets(st.integers(1, m), max_size=m))
+    cols = draw(st.sets(st.integers(1, n), max_size=n))
+    cells = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n)), max_size=2 * (m + n)))
+    landmarks = hub + [Row(i) for i in rows] + [Col(j) for j in cols] + [Cell(i, j) for i, j in cells]
+    g = GridGraph(m, n)
+    assume(landmarks and is_resolving(g, landmarks))
+    return g, draw(st.permutations(landmarks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(resolving_sets())
+def test_min_pairwise_l1_matches_scan_on_drawn_sets(case):
+    g, landmarks = case
+    assert _table_l1(g, landmarks) == pairwise_min_l1(g, landmarks)
+
+
+def _pair_class(x, y):
+    """Which row of the CodeTable case table the pair (x, y) falls under."""
+    if isinstance(x, (Row, Col)) != isinstance(y, (Row, Col)):
+        return "opposite sides"
+    if isinstance(x, Row) and isinstance(y, Row):
+        return "rows"
+    if isinstance(x, Col) and isinstance(y, Col):
+        return "columns"
+    if isinstance(x, (Row, Col)):
+        return "row-column"
+    if isinstance(x, Hub) or isinstance(y, Hub):
+        return "hub-cell"
+    if x.j == y.j:
+        return "rows"
+    if x.i == y.i:
+        return "columns"
+    return "cell-cell"
+
+
+def _class_minima(g, landmarks):
+    """Smallest code distance within each pair class, by scanning all pairs."""
+    verts = g.vertices()
+    codes = code_matrix(g, landmarks).astype(np.int64)
+    out = {}
+    for p, q in itertools.combinations(range(len(verts)), 2):
+        cls = _pair_class(verts[p], verts[q])
+        out[cls] = min(out.get(cls, 1 << 30), int(np.abs(codes[p] - codes[q]).sum()))
+    return out
+
+
+# One set per branch of the closed form that alone attains the minimum
+# (found by searching with the scan), and a diagonal set, where cell pairs
+# in distinct rows and columns come closest to it
+@pytest.mark.parametrize("m,n,names,branch", [
+    (2, 1, "r2 a2,1 hub", "row-column"),
+    (2, 1, "a1,1 c1 a2,1", "hub-cell"),
+    (4, 1, "r2 r4 c1 r1 a4,1", "rows"),
+    (1, 4, "a1,2 c2 r1 c4 c1", "columns"),
+    (4, 4, "a1,1 a2,2 a3,3 a4,4 a1,2 a3,4", None),
+])
+def test_min_pairwise_l1_pinned_branches(m, n, names, branch):
+    g = GridGraph(m, n)
+    landmarks = [parse_vertex(t) for t in names.split()]
+    minima = _class_minima(g, landmarks)
+    best = min(minima.values())
+    assert _table_l1(g, landmarks) == best == pairwise_min_l1(g, landmarks)
+    if branch is not None:
+        assert [cls for cls, v in minima.items() if v == best] == [branch], minima
+    # opposite-side pairs sit at k, at or above the minimum
+    assert minima["opposite sides"] == len(landmarks) >= best
+    if "cell-cell" in minima:
+        assert minima["cell-cell"] > best, minima
 
 
 def test_decode_identity_on_ideal_codes():
