@@ -6,4 +6,5 @@ class InputError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Raised when an exhaustive search would exceed its configured budget."""
+    """Raised when an exhaustive search or a distance table would exceed its
+    budget."""

@@ -21,11 +21,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .grid import HUB, Cell, Col, GridGraph, Hub, Row, Vertex, parse_vertex
 
 MetricCode = tuple[int, ...]
 AdjacencyCode = tuple[int, ...]
+
+# The most cells :func:`code_matrix` allocates.  A code table holds its
+# matrix as uint8 and again as int16, about 3 bytes per cell, so this caps
+# one near 300 MB; the (300, 300) grid's basis table has 36 million cells.
+MAX_TABLE_CELLS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -96,11 +101,19 @@ def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
 
     Each landmark column is filled by vectorized slice writes from the
     closed-form table, so the cost is O(N) per landmark.  With
-    ``landmarks = g.vertices()`` this is the full distance matrix.
+    ``landmarks = g.vertices()`` this is the full distance matrix.  Raises
+    :class:`~stargrid.errors.BudgetError` before allocating when the
+    matrix would exceed ``MAX_TABLE_CELLS``.
     """
     m, n = g.m, g.n
     total = g.vertex_count()
     lm = tuple(landmarks)
+    cells = total * len(lm)
+    if cells > MAX_TABLE_CELLS:
+        raise BudgetError(
+            f"distance table on ({m}, {n}) needs {total} x {len(lm)} = {cells} cells, "
+            f"limit is {MAX_TABLE_CELLS}"
+        )
     arr = np.empty((len(lm), total), dtype=np.uint8)
     for t, w in enumerate(lm):
         g.validate(w)

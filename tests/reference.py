@@ -8,7 +8,14 @@ colliding pair in canonical vertex order.
 
 :func:`pairwise_min_l1` is the all-pairs scan ``CodeTable`` used for
 ``min_pairwise_l1`` before the closed form over landmark counts: O(N^2 k).
+
+:func:`int_pair_masks` and :func:`int_resolving_subsets` are the oracle's
+subset scan before it tested blocks of candidates with numpy: one Python
+int bitmask per vertex pair, and one candidate at a time, pruned at the
+first pair it leaves unresolved.
 """
+
+import itertools
 
 import numpy as np
 
@@ -45,3 +52,31 @@ def pairwise_min_l1(g: GridGraph, landmarks) -> int:
         diff[np.arange(hi - lo), np.arange(lo, hi)] = best
         best = min(best, int(diff.min()))
     return best
+
+
+def int_pair_masks(dist) -> tuple[int, ...]:
+    """One Python int per vertex pair: which vertices tell the pair apart,
+    the pairs with the fewest resolvers first (ties in (x, y) order)."""
+    total = dist.shape[0]
+    masks: list[tuple[int, int, int]] = []
+    for x in range(total):
+        row_x = dist[x]
+        for y in range(x + 1, total):
+            differs = np.packbits(row_x != dist[y], bitorder="little").tobytes()
+            mask = int.from_bytes(differs, "little")
+            masks.append((mask.bit_count(), len(masks), mask))
+    masks.sort()
+    return tuple(m for _, _, m in masks)
+
+
+def int_resolving_subsets(indices, k: int, pair_masks):
+    """Yield, in lexicographic order, every k-subset of ``indices`` (as an
+    index tuple) that meets every pair mask."""
+    bits = [1 << i for i in indices]
+    for combo in itertools.combinations(bits, k):
+        subset = sum(combo)  # the bits are distinct, so this is their union
+        for pm in pair_masks:
+            if not subset & pm:
+                break
+        else:
+            yield tuple(b.bit_length() - 1 for b in combo)

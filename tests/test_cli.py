@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,18 @@ def test_localize_large_grid_finishes(capsys):
     payload = json.loads(out)
     assert payload["min_pairwise_l1"] == 2
     assert payload["basis_size"] == 400
+
+
+def test_localize_oversized_grid_exits_3(capsys):
+    # the (1000, 1000) code table would need about 4 GB; the size guard
+    # refuses it before allocating
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "localize", "--m", "1000", "--n", "1000",
+                             "--trials", "1")
+    assert code == 3
+    assert out == ""
+    assert "limit is 100000000" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_localize_invalid_probability(capsys):

@@ -2,6 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from reference import int_pair_masks, int_resolving_subsets
 
 from stargrid import (
     HUB,
@@ -25,6 +29,10 @@ from stargrid import (
     is_resolving,
     iter_minimum_bases,
 )
+from stargrid.oracle import _adjacency_table, _pair_masks, _SubsetScan
+
+# every grid with at most 26 vertices, m <= n
+SMALL_GRIDS = [(m, n) for m in range(1, 6) for n in range(m, 13) if (m + 1) * (n + 1) <= 26]
 
 
 def test_bfs_matches_four_cycle_metric():
@@ -169,13 +177,16 @@ def _adjacency_dimension_by_definition(host) -> int:
     raise AssertionError("the full vertex set always adjacency-resolves")
 
 
+def _small_hosts():
+    return ([SimpleGraph.path(order) for order in range(1, 8)]
+            + [SimpleGraph.cycle(order) for order in range(3, 8)]
+            + [SimpleGraph.star(leaves) for leaves in range(1, 7)]
+            + [build_aux_graph(GridGraph(m, n), build_basis(m, n).landmarks)
+               for m, n in [(2, 2), (2, 3), (3, 3)]])
+
+
 def test_adjacency_dimension_matches_definition():
-    hosts = ([SimpleGraph.path(order) for order in range(1, 8)]
-             + [SimpleGraph.cycle(order) for order in range(3, 8)]
-             + [SimpleGraph.star(leaves) for leaves in range(1, 7)]
-             + [build_aux_graph(GridGraph(m, n), build_basis(m, n).landmarks)
-                for m, n in [(2, 2), (2, 3), (3, 3)]])
-    for host in hosts:
+    for host in _small_hosts():
         assert (brute_force_adjacency_dimension(host)
                 == _adjacency_dimension_by_definition(host)), host.vertices()
 
@@ -195,3 +206,72 @@ def test_simple_graph_validation():
         SimpleGraph(3, [(0, 3)])
     with pytest.raises(InputError):
         SimpleGraph(3, [(1, 1)])
+
+
+def _as_ints(masks) -> list[int]:
+    return [int.from_bytes(row.tobytes(), "little") for row in masks]
+
+
+def _assert_scan_matches_reference(dist, sizes, hub_free=True):
+    """The block scan yields exactly the reference scan's sequence, over
+    every index and, with ``hub_free``, over every index but 0."""
+    total = dist.shape[0]
+    masks, ref_masks = _pair_masks(dist), int_pair_masks(dist)
+    assert _as_ints(masks) == list(ref_masks)
+    # one scan per index set over ascending sizes reuses its subset tables,
+    # as the dimension search does
+    every, rest = _SubsetScan(range(total), masks), _SubsetScan(range(1, total), masks)
+    for k in sizes:
+        want = list(int_resolving_subsets(range(total), k, ref_masks))
+        assert list(every.resolving(k)) == want, k
+        if hub_free:
+            # combinations of range(1, N) are those of range(N) without 0, in
+            # the same order, so this is the reference scan over range(1, N)
+            assert list(rest.resolving(k)) == [c for c in want if c[0] != 0], k
+
+
+def test_pair_masks_layout():
+    for m, n, words in [(2, 20, 1), (7, 7, 1), (4, 12, 2), (10, 10, 2)]:
+        dist = bfs_distances(GridGraph(m, n))
+        total = dist.shape[0]
+        masks = _pair_masks(dist)
+        assert masks.dtype == np.dtype("<u8")
+        assert masks.shape == (total * (total - 1) // 2, words), (m, n)
+    assert _pair_masks(np.zeros((1, 1), dtype=np.uint8)).shape == (0, 1)
+
+
+@pytest.mark.parametrize("m,n", SMALL_GRIDS)
+def test_scan_matches_reference_on_small_grids(m, n):
+    for g in (GridGraph(m, n), GridGraph(n, m)):
+        _assert_scan_matches_reference(bfs_distances(g), range(1, dimension(m, n) + 1))
+
+
+@pytest.mark.parametrize("m,n", [(2, 20), (7, 7), (4, 12), (10, 10)])
+def test_scan_matches_reference_at_word_boundaries(m, n):
+    # 63, 64, 65 and 121 vertices
+    for g in (GridGraph(m, n), GridGraph(n, m)):
+        _assert_scan_matches_reference(bfs_distances(g), (1, 2))
+
+
+@pytest.mark.parametrize("order", [63, 64, 65])
+def test_scan_matches_reference_on_cycles_across_words(order):
+    # two vertices resolve a cycle unless they are antipodal, so these
+    # scans yield subsets whose bits sit in both words
+    gap = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
+    dist = np.minimum(gap, order - gap).astype(np.uint8)
+    _assert_scan_matches_reference(dist, (1, 2))
+
+
+def test_scan_matches_reference_on_adjacency_tables():
+    for host in _small_hosts():
+        table = _adjacency_table(host)
+        k = brute_force_adjacency_dimension(host)
+        _assert_scan_matches_reference(table, range(1, k + 1), hub_free=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda total: arrays(np.uint8, (total, total), elements=st.integers(0, 4))),
+    st.integers(1, 5))
+def test_scan_matches_reference_on_random_tables(dist, top):
+    _assert_scan_matches_reference(dist, range(1, min(top, dist.shape[0]) + 1))

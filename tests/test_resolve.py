@@ -9,6 +9,7 @@ from reference import sort_is_resolving
 
 from stargrid import (
     HUB,
+    BudgetError,
     Cell,
     Col,
     GridGraph,
@@ -20,7 +21,9 @@ from stargrid import (
     adjacency_resolved_by_neighborhoods,
     build_aux_graph,
     build_basis,
+    code_matrix,
     dimension,
+    full_distance_matrix,
     is_adjacency_resolving,
     is_resolving,
     metric_code,
@@ -272,3 +275,12 @@ def test_parse_landmark_lines():
     assert parse_landmark_lines(lines) == [Row(1), Cell(2, 3), Col(4)]
     with pytest.raises(InputError):
         parse_landmark_lines(["r1", "bogus"])
+
+
+def test_code_matrix_refuses_oversized_table():
+    # (100, 100)'s full table, 10,201 x 10,201 cells, is just over the limit
+    with pytest.raises(BudgetError, match="10201 x 10201 = 104060401 cells, limit is 100000000"):
+        full_distance_matrix(GridGraph(100, 100))
+    with pytest.raises(BudgetError, match="limit is 100000000"):
+        code_matrix(GridGraph(1000, 1000), build_basis(1000, 1000).landmarks)
+    assert code_matrix(GridGraph(99, 99), [HUB]).shape == (10000, 1)
