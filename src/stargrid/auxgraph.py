@@ -6,6 +6,18 @@ on the right.  A cell landmark's copy is joined to its row relay and its
 column relay; a relay landmark's copy is joined to the relay itself.  The
 hub has no row or column, so landmark sets containing it are rejected.
 
+The graph is held as relay indices, not as vertex objects.  Relays are
+numbered 0..m+n-1, rows first, which is also their canonical order.  Each
+landmark records the row relay and the column relay it is joined to, and
+each relay its degree.  A cell landmark is then an edge between two relays
+and a relay landmark a pendant vertex on one, so :func:`classify_components`
+finds the components by union-find over the m + n relays.  Every edge has
+exactly one relay end, so a component's edge count is the sum of its relay
+degrees; it is a path exactly when it has one edge fewer than vertices and
+no relay of degree above 2 (primed copies have degree 1 or 2).  Building,
+classifying, auditing and :func:`check_relays_resolved` each take
+O(m + n + k) time for k landmarks.
+
 Minimum landmark sets leave a very rigid footprint here: components of a
 constructed tiled basis are exactly 5-vertex paths plus at most one single
 edge and at most one isolated relay.  :func:`classify_components` measures
@@ -15,12 +27,12 @@ any sensible basis must satisfy.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
-from .grid import Cell, Col, GridGraph, Hub, Row, Vertex, vertex_name
-from .resolve import Verdict, is_adjacency_resolving
+from .grid import Cell, Col, GridGraph, Row, Vertex, vertex_name
+from .resolve import Verdict
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,43 +45,98 @@ class Primed:
 class AuxGraph:
     """Bipartite graph on primed landmarks (left) versus relays (right).
 
-    Instances are immutable after construction; build them with
-    :func:`build_aux_graph`.
+    ``landmarks`` holds the landmarks in canonical order.  Landmark t is
+    joined to relay ``row_relay[t]`` and relay ``col_relay[t]``, each None
+    where it has no such neighbor; relay r (rows 0..m-1, then columns
+    m..m+n-1) has degree ``relay_degree[r]``.  The vertex-level views
+    (``left``, ``right``, ``edges``, ``vertices``, ``neighbors``,
+    ``degree``, ``is_adjacent``) are derived from these arrays on each
+    call.  Build instances with :func:`build_aux_graph`.
     """
 
-    def __init__(self, m: int, n: int,
-                 left: tuple[Primed, ...],
-                 right: tuple[Vertex, ...],
-                 edges: tuple[tuple[Primed, Vertex], ...]):
-        self.m = m
-        self.n = n
-        self.left = left
-        self.right = right
-        self.edges = edges
-        adj: dict = {v: [] for v in left}
-        for v in right:
-            adj[v] = []
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        self._adj = adj
-        self._edge_set = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
+    def __init__(self, g: GridGraph, landmarks: tuple[Vertex, ...], members: frozenset[int],
+                 row_relay: tuple[int | None, ...], col_relay: tuple[int | None, ...],
+                 relay_degree: tuple[int, ...]):
+        self.m = g.m
+        self.n = g.n
+        self.landmarks = landmarks
+        self.row_relay = row_relay
+        self.col_relay = col_relay
+        self.relay_degree = relay_degree
+        self._grid = g
+        self._members = members  # canonical indices of the landmarks
+
+    @property
+    def left(self) -> tuple[Primed, ...]:
+        return tuple(Primed(b) for b in self.landmarks)
+
+    @property
+    def right(self) -> tuple[Vertex, ...]:
+        """Relays in index order: rows, then columns."""
+        return tuple([Row(i) for i in range(1, self.m + 1)]
+                     + [Col(j) for j in range(1, self.n + 1)])
+
+    @property
+    def edges(self) -> tuple[tuple[Primed, Vertex], ...]:
+        """(primed landmark, relay) pairs in landmark order, row end first."""
+        right = self.right
+        out = []
+        for b, r, c in zip(self.landmarks, self.row_relay, self.col_relay):
+            p = Primed(b)
+            if r is not None:
+                out.append((p, right[r]))
+            if c is not None:
+                out.append((p, right[c]))
+        return tuple(out)
 
     def vertices(self) -> list:
         """Left part in landmark order, then relays (rows, then columns)."""
         return list(self.left) + list(self.right)
 
     def neighbors(self, v) -> list:
-        try:
-            return list(self._adj[v])
-        except KeyError:
-            raise InputError(f"vertex {v!r} not in auxiliary graph") from None
+        r = self._relay_index(v)
+        if r is not None:
+            return [Primed(b) for b, x, y in zip(self.landmarks, self.row_relay, self.col_relay)
+                    if x == r or y == r]
+        if isinstance(v, Primed) and self._is_landmark(v.base):
+            b = v.base
+            return [Row(b.i), Col(b.j)] if isinstance(b, Cell) else [b]
+        raise InputError(f"vertex {v!r} not in auxiliary graph")
 
     def degree(self, v) -> int:
-        return len(self.neighbors(v))
+        r = self._relay_index(v)
+        if r is not None:
+            return self.relay_degree[r]
+        if isinstance(v, Primed) and self._is_landmark(v.base):
+            return 2 if isinstance(v.base, Cell) else 1
+        raise InputError(f"vertex {v!r} not in auxiliary graph")
 
     def is_adjacent(self, u, v) -> bool:
-        return (u, v) in self._edge_set
+        if isinstance(v, Primed):
+            u, v = v, u
+        if not isinstance(u, Primed):
+            return False
+        b = u.base
+        if isinstance(v, Row):
+            hit = isinstance(b, (Row, Cell)) and b.i == v.i
+        elif isinstance(v, Col):
+            hit = isinstance(b, (Col, Cell)) and b.j == v.j
+        else:
+            return False
+        return hit and self._is_landmark(b)
+
+    def _relay_index(self, v) -> int | None:
+        if isinstance(v, Row) and 1 <= v.i <= self.m:
+            return v.i - 1
+        if isinstance(v, Col) and 1 <= v.j <= self.n:
+            return self.m + v.j - 1
+        return None
+
+    def _is_landmark(self, b) -> bool:
+        try:
+            return self._grid.index_of(b) in self._members
+        except InputError:
+            return False
 
 
 @dataclass(frozen=True)
@@ -140,73 +207,117 @@ def build_aux_graph(g: GridGraph, landmarks) -> AuxGraph:
     edge list is byte-for-byte reproducible.  The hub is rejected: it has
     no governing relays, so the construction is undefined for it.
     """
-    seen = set()
-    lm: list[Vertex] = []
+    m, n = g.m, g.n
+    seen: set[int] = set()
+    keyed: list[tuple[int, Vertex]] = []
     for v in landmarks:
-        g.validate(v)
-        if isinstance(v, Hub):
+        idx = g.index_of(v)  # validates v
+        if idx == 0:
             raise InputError("the hub cannot appear in an auxiliary-graph landmark set")
-        if v in seen:
+        if idx in seen:
             raise InputError(f"duplicate landmark {vertex_name(v)}")
-        seen.add(v)
-        lm.append(v)
-    lm.sort(key=g.index_of)
-    left = tuple(Primed(b) for b in lm)
-    right: tuple[Vertex, ...] = tuple(
-        [Row(i) for i in range(1, g.m + 1)] + [Col(j) for j in range(1, g.n + 1)]
-    )
-    edges: list[tuple[Primed, Vertex]] = []
-    for b in lm:
-        p = Primed(b)
-        if isinstance(b, Cell):
-            edges.append((p, Row(b.i)))
-            edges.append((p, Col(b.j)))
-        elif isinstance(b, Row):
-            edges.append((p, Row(b.i)))
+        seen.add(idx)
+        keyed.append((idx, v))
+    keyed.sort()  # indices are distinct, so vertices are never compared
+    row_relay: list[int | None] = []
+    col_relay: list[int | None] = []
+    degree = [0] * (m + n)
+    for idx, _ in keyed:
+        if idx <= m + n:  # relay landmark: relay index idx - 1
+            r = idx - 1
+            row_relay.append(r if r < m else None)
+            col_relay.append(r if r >= m else None)
+            degree[r] += 1
         else:
-            edges.append((p, Col(b.j)))
-    return AuxGraph(g.m, g.n, left, right, tuple(edges))
+            i, j = divmod(idx - m - n - 1, n)
+            row_relay.append(i)
+            col_relay.append(m + j)
+            degree[i] += 1
+            degree[m + j] += 1
+    return AuxGraph(g, tuple(v for _, v in keyed), frozenset(seen), tuple(row_relay),
+                    tuple(col_relay), tuple(degree))
 
 
 def classify_components(aux: AuxGraph) -> ComponentReport:
-    """Connected components, labeled path (with order) or non-path."""
-    vertices = aux.vertices()
-    seen: set = set()
-    path_orders: list[int] = []
+    """Connected components, labeled path (with order) or non-path.
+
+    Union-find over the relays, with each cell landmark as an edge between
+    its two relays; relay landmarks hang off their relay.  Each component's
+    vertex count, edge count and largest relay degree are tallied at its
+    root, and decide whether it is a path.
+    """
+    size = aux.m + aux.n
+    degree = aux.relay_degree
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    order = [0] * size
+    cells = 0
+    for r, c in zip(aux.row_relay, aux.col_relay):
+        if r is not None and c is not None:
+            cells += 1
+            a, b = find(r), find(c)
+            if a != b:
+                parent[a] = b
+    for r, c in zip(aux.row_relay, aux.col_relay):
+        order[find(c if r is None else r)] += 1
+    edges = [0] * size
+    top = [0] * size
+    for x in range(size):
+        d = degree[x]
+        if d:
+            root = find(x)
+            order[root] += 1
+            edges[root] += d
+            if d > top[root]:
+                top[root] = d
+    isolated = degree.count(0)
+    path_orders = [1] * isolated
     non_path = 0
-    isolated_right = sum(1 for v in aux.right if aux.degree(v) == 0)
-    max_degree = max((aux.degree(v) for v in vertices), default=0)
-    for start in vertices:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in aux._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        degrees = [len(aux._adj[v]) for v in comp]
-        edge_count = sum(degrees) // 2
-        is_path = max(degrees, default=0) <= 2 and edge_count == len(comp) - 1
-        if is_path:
-            path_orders.append(len(comp))
-        else:
-            non_path += 1
+    for x in range(size):
+        if edges[x]:
+            if top[x] <= 2 and edges[x] == order[x] - 1:
+                path_orders.append(order[x])
+            else:
+                non_path += 1
     path_orders.sort(reverse=True)
-    return ComponentReport(tuple(path_orders), non_path, isolated_right, max_degree)
+    max_degree = max(max(degree), 2 if cells else 0)
+    return ComponentReport(tuple(path_orders), non_path, isolated, max_degree)
 
 
 def check_relays_resolved(aux: AuxGraph) -> Verdict:
     """Do the primed landmarks give every relay a distinct adjacency code?
 
     This is the property any resolving landmark set must imprint on its
-    auxiliary graph; failures return a witness relay pair.
+    auxiliary graph; failures return the first colliding relay pair in
+    relay order, as :func:`stargrid.resolve.is_adjacency_resolving` would
+    over ``aux.right`` against ``aux.left``.  A relay's code is its set of
+    primed neighbors, and every primed landmark touches at most one row and
+    one column.  So two rows (or two columns) collide only when neither is
+    touched, and row a collides with column b only when neither is touched
+    or the cell landmark (a, b) alone touches both.  O(m + n + k).
     """
-    return is_adjacency_resolving(aux, aux.right, aux.left)
+    if not aux.landmarks:
+        raise InputError("landmark set must be nonempty")
+    degree = aux.relay_degree
+    untouched = [r for r, d in enumerate(degree) if not d]
+    pair = tuple(untouched[:2]) if len(untouched) > 1 else None
+    for r, c in zip(aux.row_relay, aux.col_relay):
+        # cells come in row-major order, so the first lone cell has the
+        # smallest row; it beats the untouched pair if its row comes first
+        if r is not None and c is not None and degree[r] == 1 and degree[c] == 1:
+            if pair is None or r < pair[0]:
+                pair = (r, c)
+            break
+    if pair is None:
+        return Verdict(True)
+    right = aux.right
+    return Verdict(False, (right[pair[0]], right[pair[1]]))
 
 
 def structural_audit(aux: AuxGraph, strict_tiled: bool = False) -> AuditReport:
@@ -239,16 +350,14 @@ def structural_audit(aux: AuxGraph, strict_tiled: bool = False) -> AuditReport:
         if leftovers > 2:
             strict_ok = False
             violations.append(f"{leftovers} single edges + isolated vertices (at most 2)")
-    left_hist: dict[int, int] = {}
-    for v in aux.left:
-        left_hist[aux.degree(v)] = left_hist.get(aux.degree(v), 0) + 1
-    right_hist: dict[int, int] = {}
-    for v in aux.right:
-        right_hist[aux.degree(v)] = right_hist.get(aux.degree(v), 0) + 1
-    row_part = [aux.degree(v) for v in aux.right if isinstance(v, Row)]
-    col_part = [aux.degree(v) for v in aux.right if isinstance(v, Col)]
-    hypothesis = bool(row_part and col_part
-                      and max(row_part) >= 3 and max(col_part) >= 3)
+    # relay landmarks (degree 1) precede cell landmarks (degree 2) in
+    # canonical order, which fixes the histogram's key order
+    cells = sum(1 for r, c in zip(aux.row_relay, aux.col_relay) if r is not None and c is not None)
+    left_hist = {d: k for d, k in ((1, len(aux.landmarks) - cells), (2, cells)) if k}
+    degree = aux.relay_degree
+    right_hist = dict(Counter(degree))
+    row_part, col_part = degree[:aux.m], degree[aux.m:]
+    hypothesis = max(row_part) >= 3 and max(col_part) >= 3
     balanced: bool | None = None
     if hypothesis:
         balanced = (

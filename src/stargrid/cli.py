@@ -19,6 +19,11 @@ from .localize import NoiseModel, simulate
 from .oracle import SearchBudget, brute_force_dimension, enumerate_minimum_bases
 from .resolve import is_resolving, parse_landmark_lines
 
+# The most edges `export` builds.  It holds every edge as Python objects
+# before printing; at (200, 200) its peak was about 225 bytes per edge for
+# edgelist and 422 for json, so this keeps a json export near 1 GB.
+MAX_EXPORT_EDGES = 2_400_000
+
 
 def _positive(value: str) -> int:
     try:
@@ -100,7 +105,7 @@ def _cmd_hgraph(args) -> int:
     print(json.dumps({
         "m": args.m,
         "n": args.n,
-        "basis_size": len(aux.left),
+        "basis_size": len(aux.landmarks),
         "component_report": report.to_dict(),
         "audit": audit.to_dict(),
     }))
@@ -154,6 +159,11 @@ def _cmd_localize(args) -> int:
 
 def _cmd_export(args) -> int:
     g = GridGraph(args.m, args.n)
+    edge_count = g.m + g.n + 2 * g.m * g.n
+    if edge_count > MAX_EXPORT_EDGES:
+        raise BudgetError(
+            f"export of ({g.m}, {g.n}) has {edge_count} edges, limit is {MAX_EXPORT_EDGES}"
+        )
     verts = g.vertices()
     edges = []
     for v in verts:

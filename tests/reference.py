@@ -13,13 +13,19 @@ colliding pair in canonical vertex order.
 subset scan before it tested blocks of candidates with numpy: one Python
 int bitmask per vertex pair, and one candidate at a time, pruned at the
 first pair it leaves unresolved.
+
+:func:`bfs_classify_components` is :func:`stargrid.classify_components`
+before it ran union-find over relay indices: a breadth-first search over
+adjacency lists of the auxiliary graph's vertex objects, built here from
+its public ``vertices()`` and ``edges``.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
-from stargrid import GridGraph, Verdict, code_matrix
+from stargrid import ComponentReport, GridGraph, Verdict, code_matrix
 
 
 def sort_is_resolving(g: GridGraph, landmarks) -> Verdict:
@@ -80,3 +86,38 @@ def int_resolving_subsets(indices, k: int, pair_masks):
                 break
         else:
             yield tuple(b.bit_length() - 1 for b in combo)
+
+
+def bfs_classify_components(aux) -> ComponentReport:
+    """Connected components by BFS, labeled path (with order) or non-path."""
+    vertices = aux.vertices()
+    adj: dict = {v: [] for v in vertices}
+    for a, b in aux.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen: set = set()
+    path_orders: list[int] = []
+    non_path = 0
+    isolated_right = sum(1 for v in aux.right if not adj[v])
+    max_degree = max((len(adj[v]) for v in vertices), default=0)
+    for start in vertices:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        degrees = [len(adj[v]) for v in comp]
+        edge_count = sum(degrees) // 2
+        if max(degrees, default=0) <= 2 and edge_count == len(comp) - 1:
+            path_orders.append(len(comp))
+        else:
+            non_path += 1
+    path_orders.sort(reverse=True)
+    return ComponentReport(tuple(path_orders), non_path, isolated_right, max_degree)

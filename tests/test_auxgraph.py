@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reference import bfs_classify_components
 from stargrid import (
     HUB,
     Cell,
@@ -11,12 +14,15 @@ from stargrid import (
     InputError,
     Primed,
     Row,
+    SearchBudget,
     aux_graph_to_dot,
     build_aux_graph,
     build_basis,
     check_relays_resolved,
     classify_components,
     dimension,
+    is_adjacency_resolving,
+    iter_minimum_bases,
     structural_audit,
 )
 
@@ -182,6 +188,36 @@ def test_dot_export_shape():
     assert dot.rstrip().endswith("}")
 
 
+def test_dot_export_golden():
+    # a row relay, a column relay and cells, given out of canonical order
+    aux = _aux(3, 4, [Cell(2, 2), Row(2), Cell(1, 1), Col(3), Cell(3, 2)])
+    assert aux_graph_to_dot(aux) == (
+        'graph aux {\n'
+        '  graph [m=3, n=4, basis_size=5];\n'
+        '  "p_r2";\n'
+        '  "p_c3";\n'
+        '  "p_a1,1";\n'
+        '  "p_a2,2";\n'
+        '  "p_a3,2";\n'
+        '  "r1";\n'
+        '  "r2";\n'
+        '  "r3";\n'
+        '  "c1";\n'
+        '  "c2";\n'
+        '  "c3";\n'
+        '  "c4";\n'
+        '  "p_r2" -- "r2";\n'
+        '  "p_c3" -- "c3";\n'
+        '  "p_a1,1" -- "r1";\n'
+        '  "p_a1,1" -- "c1";\n'
+        '  "p_a2,2" -- "r2";\n'
+        '  "p_a2,2" -- "c2";\n'
+        '  "p_a3,2" -- "r3";\n'
+        '  "p_a3,2" -- "c2";\n'
+        '}\n'
+    )
+
+
 def test_component_report_dict_mirrors_fields():
     rep = classify_components(_aux(4, 4, build_basis(4, 4)))
     d = rep.to_dict()
@@ -226,3 +262,46 @@ def test_adjacency_resolved_image_bounds_dimension_below():
                 assert len(cand) >= dim, (m, n, cand)
                 hits += 1
         assert hits >= 5
+
+
+def _assert_matches_references(aux):
+    """Union-find report equals the BFS one; the structural relay check
+    equals the adjacency-code check, witness included."""
+    assert classify_components(aux) == bfs_classify_components(aux)
+    if not aux.landmarks:
+        with pytest.raises(InputError):
+            check_relays_resolved(aux)
+        with pytest.raises(InputError):
+            is_adjacency_resolving(aux, aux.right, aux.left)
+        return
+    assert check_relays_resolved(aux) == is_adjacency_resolving(aux, aux.right, aux.left)
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (3, 5), (5, 5)])
+def test_every_minimum_basis_matches_references(m, n):
+    g = GridGraph(m, n)
+    count = 0
+    for basis in iter_minimum_bases(g, dimension(m, n), SearchBudget(max_candidates=10**8)):
+        _assert_matches_references(build_aux_graph(g, basis.landmarks))
+        count += 1
+    assert count > 0
+
+
+@st.composite
+def _landmark_sets(draw):
+    """A grid with (1, n) and (m, 1) shapes allowed, and a hub-free set of
+    rows, columns and cells in random order, possibly empty."""
+    g = GridGraph(draw(st.integers(1, 6)), draw(st.integers(1, 7)))
+    picks = draw(st.lists(st.integers(1, g.vertex_count() - 1), unique=True,
+                          max_size=2 * (g.m + g.n)))
+    return g, [g.vertex_at(i) for i in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_landmark_sets())
+@example((GridGraph(1, 4), []))
+@example((GridGraph(1, 5), [Cell(1, 2), Col(4), Row(1)]))
+@example((GridGraph(3, 3), [Cell(1, 1), Cell(1, 2), Cell(2, 1), Cell(2, 2), Row(3)]))
+def test_drawn_sets_match_references(case):
+    g, landmarks = case
+    _assert_matches_references(build_aux_graph(g, landmarks))

@@ -99,6 +99,24 @@ def test_hgraph_json(tmp_path, capsys):
     assert payload["basis_size"] == 8
 
 
+def test_hgraph_strict_golden(tmp_path, capsys):
+    # the regime-D basis of (5, 6): three 5-path tiles, one single edge
+    # (the relay landmark r5) and one untouched relay
+    setfile = tmp_path / "d.txt"
+    setfile.write_text("a1,1\na2,1\na3,2\na3,3\na4,4\na4,5\nr5\n")
+    code, out, err = run_cli(capsys, "hgraph", "--m", "5", "--n", "6",
+                             "--set", str(setfile), "--strict")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"m": 5, "n": 6, "basis_size": 7, "component_report": {"path_orders": '
+        '[5, 5, 5, 2, 1], "non_path_count": 0, "isolated_right": 1, "max_degree": 2}, '
+        '"audit": {"max_one_isolated": true, "no_order3_path": true, "strict_tiling": '
+        'true, "left_degree_histogram": {"1": 1, "2": 6}, "right_degree_histogram": '
+        '{"1": 7, "2": 3, "0": 1}, "degree3_hypothesis": false, "degree3_balanced": '
+        'null, "violations": [], "passed": true}}\n'
+    )
+
+
 def test_hgraph_rejects_hub(tmp_path, capsys):
     setfile = tmp_path / "h.txt"
     setfile.write_text("hub\nr1\n")
@@ -256,6 +274,17 @@ def test_export_dot_and_json(capsys):
     payload = json.loads(out)
     assert len(payload["vertices"]) == 6
     assert len(payload["edges"]) == 7
+
+
+def test_export_oversized_grid_exits_3(capsys):
+    # 8,004,000 edges; the guard refuses before building any of them
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "export", "--m", "2000", "--n", "2000",
+                             "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert "8004000 edges" in err and "limit is 2400000" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_unknown_command(capsys):
