@@ -24,6 +24,10 @@ from .resolve import is_resolving, parse_landmark_lines
 # edgelist and 422 for json, so this keeps a json export near 1 GB.
 MAX_EXPORT_EDGES = 2_400_000
 
+# The most rows `sweep` builds.  It holds them all before writing, about 92
+# bytes per row at --n-max 1000, so this keeps a sweep near 1 GB.
+MAX_SWEEP_ROWS = 10_000_000
+
 
 def _positive(value: str) -> int:
     try:
@@ -133,17 +137,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = ["m,n,dim"]
     if args.fixed_n is not None:
         n = args.fixed_n
-        rows.extend(f"{m},{n},{dimension(m, n)}" for m in range(1, n + 1))
+        row_count = n
+        pairs = ((m, n) for m in range(1, n + 1))
     else:
         top = args.n_max
-        rows.extend(
-            f"{m},{n},{dimension(m, n)}"
-            for m in range(1, top + 1)
-            for n in range(m, top + 1)
-        )
+        row_count = top * (top + 1) // 2
+        pairs = ((m, n) for m in range(1, top + 1) for n in range(m, top + 1))
+    if row_count > MAX_SWEEP_ROWS:
+        raise BudgetError(f"sweep has {row_count} rows, limit is {MAX_SWEEP_ROWS}")
+    rows = ["m,n,dim"]
+    rows.extend(f"{m},{n},{dimension(m, n)}" for m, n in pairs)
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 

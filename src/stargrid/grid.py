@@ -3,12 +3,15 @@
 A double-star grid with parameters (m, n) has one hub, m row relays
 ``r1..rm``, n column relays ``c1..cn``, and m*n leaf cells ``a<i>,<j>``.
 The hub is adjacent to every relay, and cell (i, j) is adjacent to exactly
-its row relay i and its column relay j.  Every pairwise hop distance follows
-a small closed-form table (diameter 4 as soon as the grid has more than one
-relay on a side), so the graph is represented by the pair (m, n) alone and
-never materializes adjacency on the query path.
-
-Distance table (u != v):
+its row relay i and its column relay j: the grid is the Cartesian product
+K_{1,m} x K_{1,n}.  :func:`coordinates` places the hub at (0, 0), r_i at
+(i, 0), c_j at (0, j) and a_{i,j} at (i, j), with 0 each star's centre, and
+hop distances add over the two factors (Hammack, Imrich & Klavzar,
+*Handbook of Product Graphs*, 2011): d = s(x, x') + s(y, y'), where the star
+distance s (:func:`star_distance`) is 0 for one point, 1 when either is the
+centre and 2 otherwise.  So the graph is the pair (m, n) alone and never
+materializes adjacency on the query path.  By vertex kind (u != v), with
+diameter 4 as soon as the grid has more than one relay on a side:
 
     ==========  =====  =====  =====  ==================================
     d(u, v)     Hub    Row i  Col j  Cell (i, j)
@@ -110,6 +113,29 @@ def parse_vertex(text: str) -> Vertex:
     return HUB
 
 
+def coordinates(v: Vertex) -> tuple[int, int]:
+    """v as a point (x, y) of K_{1,m} x K_{1,n}, 0 being a star's centre.
+    Call it only after :meth:`GridGraph.validate`: ``Row(0)`` reads as the hub."""
+    if isinstance(v, Cell):
+        return v.i, v.j
+    if isinstance(v, Row):
+        return v.i, 0
+    if isinstance(v, Col):
+        return 0, v.j
+    if isinstance(v, Hub):
+        return 0, 0
+    raise InputError(f"not a vertex: {v!r}")
+
+
+def star_distance(x, y):
+    """Hop distance between points x and y of a star with centre 0: 1 for two
+    distinct points, doubled when neither is the centre.  Elementwise on
+    numpy integer arrays too, with an int8 result."""
+    # named, so that numpy cannot reuse this bool temporary as the output
+    differ = x != y
+    return differ << ((x != 0) & (y != 0))
+
+
 @dataclass(frozen=True, slots=True)
 class GridGraph:
     """The double-star grid with m row relays and n column relays.
@@ -198,34 +224,17 @@ class GridGraph:
         return [Row(v.i), Col(v.j)]
 
     def degree(self, v: Vertex) -> int:
+        """Sum of the two star degrees: m (or n) at a centre, 1 at a leaf."""
         self.validate(v)
-        if isinstance(v, Hub):
-            return self.m + self.n
-        if isinstance(v, Row):
-            return self.n + 1
-        if isinstance(v, Col):
-            return self.m + 1
-        return 2
+        x, y = coordinates(v)
+        return (self.m if x == 0 else 1) + (self.n if y == 0 else 1)
 
     def distance(self, u: Vertex, v: Vertex) -> int:
-        """Hop distance via the closed-form table; symmetric in u, v."""
+        """Hop distance, the sum of the two star distances; symmetric."""
         self.validate(u)
         self.validate(v)
-        if u == v:
-            return 0
-        a, b = (u, v) if _rank(u) <= _rank(v) else (v, u)
-        if isinstance(a, Hub):
-            return 2 if isinstance(b, Cell) else 1
-        if isinstance(a, Row):
-            if not isinstance(b, Cell):
-                return 2
-            return 1 if b.i == a.i else 3
-        if isinstance(a, Col):
-            if not isinstance(b, Cell):
-                return 2
-            return 1 if b.j == a.j else 3
-        # both cells, u != v: exactly one shared coordinate -> 2, none -> 4
-        return 2 if (a.i == b.i) != (a.j == b.j) else 4
+        (x, y), (x2, y2) = coordinates(u), coordinates(v)
+        return star_distance(x, x2) + star_distance(y, y2)
 
     def is_adjacent(self, u: Vertex, v: Vertex) -> bool:
         return self.distance(u, v) == 1
@@ -234,12 +243,3 @@ class GridGraph:
         """The (n, m) grid; vertices map through transpose()."""
         return GridGraph(self.n, self.m)
 
-
-def _rank(v: Vertex) -> int:
-    if isinstance(v, Hub):
-        return 0
-    if isinstance(v, Row):
-        return 1
-    if isinstance(v, Col):
-        return 2
-    return 3

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .grid import Cell, Col, GridGraph, Row, Vertex, vertex_name
+from .grid import GridGraph, Vertex, coordinates, vertex_name
 from .resolve import ResolvingSet, code_matrix, is_resolving
 
 _METRICS = ("hamming", "l1")
@@ -107,18 +107,14 @@ class CodeTable:
         self.graph = g
         self.landmarks = landmarks
         self.matrix = code_matrix(g, landmarks.landmarks).astype(np.int16)
-        self._vertices = g.vertices()
         self.min_pairwise_l1 = self._min_pairwise_l1()
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return self.graph.vertex_count()
 
     @property
     def code_length(self) -> int:
         return self.matrix.shape[1]
-
-    def vertices(self) -> list[Vertex]:
-        return list(self._vertices)
 
     def code_of(self, v: Vertex) -> tuple[int, ...]:
         return tuple(int(x) for x in self.matrix[self.graph.index_of(v)])
@@ -126,20 +122,14 @@ class CodeTable:
     def _min_pairwise_l1(self) -> int:
         """Closed form from the case table in the class docstring."""
         m, n, k = self.graph.m, self.graph.n, len(self.landmarks)
-        rows = np.zeros(m, dtype=np.int64)
-        cols = np.zeros(n, dtype=np.int64)
-        cells = []
-        for w in self.landmarks:
-            if isinstance(w, (Row, Cell)):
-                rows[w.i - 1] += 1
-            if isinstance(w, (Col, Cell)):
-                cols[w.j - 1] += 1
-            if isinstance(w, Cell):
-                cells.append((w.i - 1, w.j - 1))
+        x, y = np.array([coordinates(w) for w in self.landmarks], dtype=np.intp).T
+        # r_a counts the landmarks with x = a, c_b those with y = b
+        rows = np.bincount(x, minlength=m + 1)[1:]
+        cols = np.bincount(y, minlength=n + 1)[1:]
         # s_ab = r_a + c_b - 2 x_ab
         s = rows[:, None] + cols[None, :]
-        if cells:
-            s[tuple(zip(*cells))] -= 2
+        cell = (x > 0) & (y > 0)
+        s[x[cell] - 1, y[cell] - 1] -= 2
         best = min(2 * int(s.min()), 2 * (k - int(s.max())))
         for counts in (rows, cols):
             if counts.shape[0] > 1:
@@ -157,25 +147,40 @@ def decode(code, table: CodeTable, metric: str = "hamming") -> DecodeResult:
 
     Hamming counts differing coordinates; L1 sums hop errors, which suits
     magnitude-structured perturbations.  A unique minimum decodes to that
-    vertex; otherwise all tied vertices are reported.
+    vertex; otherwise all tied vertices are reported.  Code entries must be
+    Python or numpy integers that fit int16, else it raises InputError.
     """
+    best, hits = _nearest(code, table, metric)
+    vertex_at = table.graph.vertex_at
+    if hits.shape[0] == 1:
+        return DecodeResult(vertex_at(int(hits[0])), best)
+    return DecodeResult(None, best, ties=tuple(vertex_at(int(i)) for i in hits))
+
+
+def _nearest(code, table: CodeTable, metric: str) -> tuple[int, np.ndarray]:
+    """Smallest distance from the probe to a table code, and the canonical
+    indices of the vertices at that distance."""
     if metric not in _METRICS:
         raise InputError(f"metric must be one of {_METRICS}, got {metric!r}")
-    arr = np.asarray(tuple(code), dtype=np.int16)
-    if arr.ndim != 1 or arr.shape[0] != table.code_length:
+    probe = np.asarray(tuple(code))
+    if probe.ndim != 1 or probe.shape[0] != table.code_length:
         raise InputError(
-            f"code length {arr.shape} does not match table width {table.code_length}"
+            f"code length {probe.shape} does not match table width {table.code_length}"
         )
+    if probe.dtype.kind not in "iu":
+        raise InputError(f"code entries must be integers, got {probe.dtype}")
+    arr = probe.astype(np.int16)
+    wrapped = arr != probe
+    if np.count_nonzero(wrapped):
+        raise InputError(f"code entry {probe[wrapped][0]} does not fit int16")
+    # int32 sums of at most 10^4 int16 terms (k <= N, N k <= MAX_TABLE_CELLS)
+    # are exact, and faster than numpy's default int64
     if metric == "hamming":
-        dists = (table.matrix != arr).sum(axis=1)
+        dists = (table.matrix != arr).sum(axis=1, dtype=np.int32)
     else:
-        dists = np.abs(table.matrix - arr).sum(axis=1)
+        dists = np.abs(table.matrix - arr).sum(axis=1, dtype=np.int32)
     best = int(dists.min())
-    hits = np.flatnonzero(dists == best)
-    verts = table._vertices
-    if hits.shape[0] == 1:
-        return DecodeResult(verts[int(hits[0])], best)
-    return DecodeResult(None, best, ties=tuple(verts[int(i)] for i in hits))
+    return best, np.flatnonzero(dists == best)
 
 
 @dataclass(frozen=True)
@@ -240,7 +245,6 @@ def simulate(
     p = noise.flip_probability
     wrong = 0
     ties = 0
-    verts = table._vertices
     for t in range(first_trial, first_trial + trials):
         idx = t % total
         ideal = table.matrix[idx]
@@ -256,10 +260,10 @@ def simulate(
                         entry = 0
                 perturbed.append(entry)
             noisy = perturbed
-        result = decode(noisy, table, metric)
-        if result.ambiguous:
+        _, hits = _nearest(noisy, table, metric)
+        if hits.shape[0] > 1:
             ties += 1
-        elif result.vertex != verts[idx]:
+        elif hits[0] != idx:
             wrong += 1
     return SimulationResult(
         m=g.m,

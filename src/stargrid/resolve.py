@@ -22,7 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .grid import HUB, Cell, Col, GridGraph, Hub, Row, Vertex, parse_vertex
+from .grid import (
+    HUB, Cell, Col, GridGraph, Hub, Row, Vertex, coordinates, parse_vertex, star_distance,
+)
 
 MetricCode = tuple[int, ...]
 AdjacencyCode = tuple[int, ...]
@@ -99,51 +101,36 @@ def metric_code(g: GridGraph, v: Vertex, W) -> MetricCode:
 def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
     """(N, k) uint8 matrix of hop distances, rows in canonical vertex order.
 
-    Each landmark column is filled by vectorized slice writes from the
-    closed-form table, so the cost is O(N) per landmark.  With
-    ``landmarks = g.vertices()`` this is the full distance matrix.  Raises
-    :class:`~stargrid.errors.BudgetError` before allocating when the
-    matrix would exceed ``MAX_TABLE_CELLS``.
+    A distance is a sum of two star distances (see :mod:`stargrid.grid`), so
+    the (k, m + 1) and (k, n + 1) star distances of the landmarks to the
+    points of each star give every block as a broadcast sum, O(N) per
+    landmark.  With ``landmarks = g.vertices()`` this is the full distance
+    matrix.  Raises :class:`~stargrid.errors.BudgetError` before allocating
+    when the matrix would exceed ``MAX_TABLE_CELLS``.
     """
     m, n = g.m, g.n
     total = g.vertex_count()
     lm = tuple(landmarks)
-    cells = total * len(lm)
+    k = len(lm)
+    cells = total * k
     if cells > MAX_TABLE_CELLS:
         raise BudgetError(
-            f"distance table on ({m}, {n}) needs {total} x {len(lm)} = {cells} cells, "
+            f"distance table on ({m}, {n}) needs {total} x {k} = {cells} cells, "
             f"limit is {MAX_TABLE_CELLS}"
         )
-    arr = np.empty((len(lm), total), dtype=np.uint8)
-    for t, w in enumerate(lm):
+    points = []
+    for w in lm:
         g.validate(w)
-        row = arr[t]
-        cells = row[1 + m + n:].reshape(m, n)
-        if isinstance(w, Hub):
-            row[0] = 0
-            row[1:1 + m + n] = 1
-            cells[:] = 2
-        elif isinstance(w, Row):
-            row[0] = 1
-            row[1:1 + m + n] = 2
-            row[w.i] = 0
-            cells[:] = 3
-            cells[w.i - 1, :] = 1
-        elif isinstance(w, Col):
-            row[0] = 1
-            row[1:1 + m + n] = 2
-            row[m + w.j] = 0
-            cells[:] = 3
-            cells[:, w.j - 1] = 1
-        else:
-            row[0] = 2
-            row[1:1 + m + n] = 3
-            row[w.i] = 1
-            row[m + w.j] = 1
-            cells[:] = 4
-            cells[w.i - 1, :] = 2
-            cells[:, w.j - 1] = 2
-            cells[w.i - 1, w.j - 1] = 0
+        points.append(coordinates(w))
+    xy = np.array(points, dtype=np.intp).reshape(k, 2)
+    rows = star_distance(xy[:, :1], np.arange(m + 1)).view(np.uint8)
+    cols = star_distance(xy[:, 1:], np.arange(n + 1)).view(np.uint8)
+    arr = np.empty((k, total), dtype=np.uint8)
+    # canonical order is (x, 0) for x = 0..m, (0, y) for y = 1..n, then the
+    # cells row-major, whose (k, m, n) reshape is a view of arr
+    np.add(rows, cols[:, :1], out=arr[:, :1 + m])
+    np.add(rows[:, :1], cols[:, 1:], out=arr[:, 1 + m:1 + m + n])
+    np.add(rows[:, 1:, None], cols[:, None, 1:], out=arr[:, 1 + m + n:].reshape(k, m, n))
     return arr.T
 
 

@@ -204,6 +204,22 @@ def test_sweep_requires_mode(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (("--n-max", "100000"), 5000050000),
+    (("--fixed-n", "1000000000"), 1000000000),
+])
+def test_sweep_oversized_exits_3(capsys, tmp_path, argv, rows):
+    # the guard refuses before building any row or opening --out
+    target = tmp_path / "sweep.csv"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert f"{rows} rows" in err and "limit is 10000000" in err
+    assert not target.exists()
+    assert time.perf_counter() - start < 1
+
+
 def test_localize_zero_noise(capsys):
     code, out, _ = run_cli(capsys, "localize", "--m", "3", "--n", "4",
                            "--trials", "40")

@@ -75,6 +75,14 @@ def test_neighbors_rejects_out_of_range():
         g.neighbors(Row(3))
     with pytest.raises(InputError):
         g.distance(HUB, Cell(1, 3))
+    # index 0 is a star's centre in coordinates(): Row(0) must not read as the hub
+    for bad in (Row(0), Col(0), Cell(0, 1), Cell(1, 0)):
+        with pytest.raises(InputError, match="out of range"):
+            g.distance(HUB, bad)
+        with pytest.raises(InputError, match="out of range"):
+            g.distance(bad, Cell(1, 1))
+        with pytest.raises(InputError, match="out of range"):
+            g.degree(bad)
     with pytest.raises(InputError):
         GridGraph(0, 3)
     with pytest.raises(InputError):
@@ -94,6 +102,20 @@ def test_distance_table_examples():
     assert g.distance(HUB, Row(4)) == 1
     assert g.distance(Cell(1, 1), Cell(1, 4)) == 2
     assert g.distance(Cell(1, 1), Cell(1, 1)) == 0
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pairwise_metric_matches_bfs(m):
+    # every pair on every grid with m, n <= 6, through the per-pair methods
+    for n in range(1, 7):
+        g = GridGraph(m, n)
+        bfs = bfs_distances(g)
+        verts = g.vertices()
+        for a, u in enumerate(verts):
+            assert g.degree(u) == len(g.neighbors(u)), (m, n, u)
+            for b, v in enumerate(verts):
+                assert g.distance(u, v) == bfs[a, b], (m, n, u, v)
+                assert g.is_adjacent(u, v) == (bfs[a, b] == 1), (m, n, u, v)
 
 
 def test_distance_matches_bfs_small():

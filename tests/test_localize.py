@@ -219,6 +219,24 @@ def test_decode_validates_input():
         decode((1,), table)
     with pytest.raises(InputError):
         decode((1, 1), table, metric="cosine")
+    for bad in [(0.9, 2.7), np.array([1.0, 2.0]), ("1", "2"), (True, False)]:
+        with pytest.raises(InputError, match="must be integers"):
+            decode(bad, table)
+    for bad in [(40000, 1), (1, -40000), np.array([1, 2**40])]:
+        with pytest.raises(InputError, match="does not fit int16"):
+            decode(bad, table)
+
+
+def test_decode_accepts_numpy_integer_codes():
+    g = GridGraph(4, 5)
+    table = code_table(g, build_basis(4, 5))
+    v = Cell(2, 3)
+    ideal = table.code_of(v)
+    for dtype in (np.int8, np.int16, np.int64, np.uint8, np.uint64):
+        code = np.array(ideal, dtype=dtype)
+        assert decode(code, table).vertex == v, dtype
+        assert decode(tuple(code), table, "l1").vertex == v, dtype
+    assert decode(table.matrix[g.index_of(v)], table).vertex == v
 
 
 def test_decode_all_zero_probe_deterministic():

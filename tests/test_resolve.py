@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,11 @@ from stargrid import (
     SimpleGraph,
     adjacency_code,
     adjacency_resolved_by_neighborhoods,
+    bfs_distances,
     build_aux_graph,
     build_basis,
     code_matrix,
+    code_table,
     dimension,
     full_distance_matrix,
     is_adjacency_resolving,
@@ -94,9 +97,13 @@ def test_is_resolving_rejects_bad_landmarks():
         is_resolving(g, [])
     with pytest.raises(InputError, match="duplicate"):
         is_resolving(g, [Cell(1, 1), Row(2), Cell(1, 1)])
-    for bad in (Row(3), Col(4), Cell(3, 1), Cell(1, 4), Cell(0, 1)):
+    for bad in (Row(3), Col(4), Cell(3, 1), Cell(1, 4), Row(0), Col(0), Cell(0, 1), Cell(1, 0)):
         with pytest.raises(InputError, match="out of range"):
             is_resolving(g, [Cell(1, 1), bad])
+        with pytest.raises(InputError, match="out of range"):
+            code_matrix(g, [Cell(1, 1), bad])
+        with pytest.raises(InputError, match="out of range"):
+            code_table(g, ResolvingSet((Cell(1, 1), bad), verified=True))
     with pytest.raises(InputError, match="not a vertex"):
         is_resolving(g, [Cell(1, 1), "r1"])
 
@@ -275,6 +282,33 @@ def test_parse_landmark_lines():
     assert parse_landmark_lines(lines) == [Row(1), Cell(2, 3), Col(4)]
     with pytest.raises(InputError):
         parse_landmark_lines(["r1", "bogus"])
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (6, 1), (2, 2), (4, 4), (6, 6)])
+def test_code_matrix_matches_bfs_columns_on_shuffled_landmarks(m, n):
+    # the hub, relays and cells mixed in any order: column t is the BFS column
+    # of the t-th landmark
+    g = GridGraph(m, n)
+    bfs = bfs_distances(g)
+    verts = g.vertices()
+    rnd = random.Random(m * 10 + n)
+    draws = [[v] for v in verts] + [rnd.sample(verts, len(verts)) for _ in range(3)]
+    draws += [rnd.sample(verts, rnd.randint(2, len(verts) - 1)) for _ in range(10)]
+    for landmarks in draws:
+        got = code_matrix(g, landmarks)
+        want = bfs[:, [g.index_of(w) for w in landmarks]]
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want), (m, n, landmarks)
+
+
+def test_code_matrix_on_thin_grid_with_large_star_rows():
+    # 999 x 1001 star distances: past numpy's 256 KiB threshold for reusing
+    # a temporary as the output of the next operation
+    g = GridGraph(1, 1000)
+    landmarks = build_basis(1, 1000).landmarks
+    mat = code_matrix(g, landmarks)
+    for idx in random.Random(7).sample(range(g.vertex_count()), 40):
+        assert mat[idx].tolist() == list(metric_code(g, g.vertex_at(idx), landmarks)), idx
 
 
 def test_code_matrix_refuses_oversized_table():
