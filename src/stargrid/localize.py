@@ -10,16 +10,23 @@ localization system has to distinguish "confidently wrong" from
 from __future__ import annotations
 
 import hashlib
-import random
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .grid import GridGraph, Vertex, coordinates, vertex_name
+from .grid import GridGraph, Vertex, coordinates, star_distance, vertex_name
 from .resolve import ResolvingSet, code_matrix, is_resolving
 
 _METRICS = ("hamming", "l1")
+
+# A batch decode holds one int32 cost per (probe, vertex) pair; it takes
+# probes in chunks of at most this many cells (512 KB), or one probe at a time.
+_CHUNK_CELLS = 1 << 17
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -27,9 +34,14 @@ class NoiseModel:
     """Independent per-coordinate hop noise.
 
     Each coordinate is perturbed with probability ``flip_probability`` by
-    +-1 hop (equal odds), clamped at 0.  The seed fixes the whole trial
-    stream; each trial draws from a substream derived from (seed, trial
-    index), so results do not depend on how trials are sharded.
+    +-1 hop (equal odds), clamped at 0.  The draws are counter-based: with
+    ``key`` the first 8 bytes of sha256(str(seed)), coordinate j of trial t
+    reads h = SplitMix64(SplitMix64(key + t) + j) mod 2^64 (Steele, Lea &
+    Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014).
+    It flips when the top 53 bits of h, as a fraction, are below the
+    probability, and its low bit picks +1 (set) or -1.  So any Python int
+    is a seed, and a trial's noise depends on (seed, trial index) alone:
+    results do not depend on how trials are sharded or chunked.
     """
 
     flip_probability: float
@@ -148,7 +160,8 @@ def decode(code, table: CodeTable, metric: str = "hamming") -> DecodeResult:
     Hamming counts differing coordinates; L1 sums hop errors, which suits
     magnitude-structured perturbations.  A unique minimum decodes to that
     vertex; otherwise all tied vertices are reported.  Code entries must be
-    Python or numpy integers that fit int16, else it raises InputError.
+    Python or numpy integers from 0 to 32767 (the int16 range, as hop counts
+    are never negative), else it raises InputError.
     """
     best, hits = _nearest(code, table, metric)
     vertex_at = table.graph.vertex_at
@@ -157,22 +170,44 @@ def decode(code, table: CodeTable, metric: str = "hamming") -> DecodeResult:
     return DecodeResult(None, best, ties=tuple(vertex_at(int(i)) for i in hits))
 
 
+def _check_metric(metric: str) -> None:
+    if metric not in _METRICS:
+        raise InputError(f"metric must be one of {_METRICS}, got {metric!r}")
+
+
+def _hop_counts(codes, ndim: int, width: int) -> np.ndarray:
+    """``codes`` (one code, ndim 1, or one per row, ndim 2) as int16; raises
+    InputError unless they have the table's width and hold integers 0..32767."""
+    try:
+        probe = np.asarray(codes)
+    except ValueError as exc:  # ragged nesting
+        raise InputError(f"codes must be integer sequences of one length: {exc}") from None
+    if probe.ndim != ndim or probe.shape[-1] != width:
+        raise InputError(f"code length {probe.shape} does not match table width {width}")
+    if probe.dtype.kind not in "iu":
+        raise InputError(f"code entries must be integers, got {probe.dtype}")
+    # an entry from 0 to 32767 keeps its value through the int16 cast and a
+    # mask of its low 15 bits, a negative one or one past int16 does not: one
+    # compare on the path of every decode
+    arr = probe.astype(np.int16)
+    arr &= 0x7FFF
+    bad = arr != probe
+    if np.count_nonzero(bad):
+        wrapped = probe.astype(np.int16) != probe
+        if np.count_nonzero(wrapped):
+            raise InputError(f"code entry {probe[wrapped][0]} does not fit int16")
+        at = np.argwhere(bad)[0].tolist()
+        raise InputError(
+            f"code entry {probe[tuple(at)]} at {at} is negative; hop counts are never negative"
+        )
+    return arr
+
+
 def _nearest(code, table: CodeTable, metric: str) -> tuple[int, np.ndarray]:
     """Smallest distance from the probe to a table code, and the canonical
     indices of the vertices at that distance."""
-    if metric not in _METRICS:
-        raise InputError(f"metric must be one of {_METRICS}, got {metric!r}")
-    probe = np.asarray(tuple(code))
-    if probe.ndim != 1 or probe.shape[0] != table.code_length:
-        raise InputError(
-            f"code length {probe.shape} does not match table width {table.code_length}"
-        )
-    if probe.dtype.kind not in "iu":
-        raise InputError(f"code entries must be integers, got {probe.dtype}")
-    arr = probe.astype(np.int16)
-    wrapped = arr != probe
-    if np.count_nonzero(wrapped):
-        raise InputError(f"code entry {probe[wrapped][0]} does not fit int16")
+    _check_metric(metric)
+    arr = _hop_counts(tuple(code), 1, table.code_length)
     # int32 sums of at most 10^4 int16 terms (k <= N, N k <= MAX_TABLE_CELLS)
     # are exact, and faster than numpy's default int64
     if metric == "hamming":
@@ -181,6 +216,162 @@ def _nearest(code, table: CodeTable, metric: str) -> tuple[int, np.ndarray]:
         dists = np.abs(table.matrix - arr).sum(axis=1, dtype=np.int32)
     best = int(dists.min())
     return best, np.flatnonzero(dists == best)
+
+
+def decode_batch(probes, table: CodeTable, metric: str = "hamming") -> list[DecodeResult]:
+    """``[decode(p, table, metric) for p in probes]``, ties included.
+
+    Decodes structurally, from row, column and point terms of the landmarks'
+    star distances (see ``_BatchDecoder``): O(N + k) per probe, in chunks
+    of probes, without reading the table's N x k matrix.  ``probes`` is a
+    sequence of codes or a (T, k) integer array; entries are checked as in
+    :func:`decode`.
+    """
+    _check_metric(metric)
+    if len(probes) == 0:
+        return []
+    arr = _hop_counts(probes, 2, table.code_length)
+    decoder = _BatchDecoder(table)
+    g = table.graph
+    m, n = g.m, g.n
+    out: list[DecodeResult] = []
+    for lo in range(0, arr.shape[0], decoder.chunk):
+        costs = decoder.costs(arr[lo:lo + decoder.chunk], metric)
+        best, dist, tied = _nearest_batch(costs)
+        first = _canonical(m, n, best // (n + 1), best % (n + 1)).tolist()
+        for row, i, d, tie in zip(costs, first, dist.tolist(), tied.tolist()):
+            if not tie:
+                out.append(DecodeResult(g.vertex_at(i), d))
+                continue
+            # the first minimum is masked in row
+            hits = np.flatnonzero(row == d)
+            ties = sorted([i, *_canonical(m, n, hits // (n + 1), hits % (n + 1)).tolist()])
+            out.append(DecodeResult(None, d, ties=tuple(g.vertex_at(j) for j in ties)))
+    return out
+
+
+def _canonical(m: int, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Canonical index of each point (x, y), as :meth:`GridGraph.index_of`."""
+    return np.where(x == 0, np.where(y == 0, 0, m + y),
+                    np.where(y == 0, x, m + n + (x - 1) * n + y))
+
+
+def _points(m: int, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point (x, y) of each canonical index, as :func:`coordinates`."""
+    cell = idx - (m + n + 1)
+    is_cell = cell >= 0
+    x = np.where(is_cell, cell // n + 1, np.where(idx <= m, idx, 0))
+    y = np.where(is_cell, cell % n + 1, np.where(idx > m, idx - m, 0))
+    return x, y
+
+
+def _sum_plan(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How to sum the rows of an array laid out like ``target`` by their
+    target (-1 drops a row): the rows to gather, sorted by target, the start
+    of each run of one target, and the distinct targets."""
+    flat = target.ravel()
+    take = np.flatnonzero(flat >= 0)
+    take = take[np.argsort(flat[take], kind="stable")]
+    keys = flat[take]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return take, starts, keys[starts]
+
+
+class _BatchDecoder:
+    """Probe-to-vertex costs of a batch of probes from row, column and point
+    terms, never from an N x k table.
+
+    Landmark w sits at the point (a, b) (see :mod:`stargrid.grid`), and its
+    distance to vertex (x, y) is s(x, a) + s(y, b).  The star distance
+    s(., a) takes one value at x = 0, one at x = a and a generic one at
+    every other x: classes 0, 1 and 2 (class 1 is empty when a = 0).  So a
+    probe entry's cost against w (a Hamming mismatch or an L1 error) at a
+    vertex whose x has class i and whose y has class j is, with F[i, j] that
+    cost,
+
+        F[2, 2] + (F[i, 2] - F[2, 2]) + (F[2, j] - F[2, 2]) + P[i, j],
+
+    where P[i, j] = F[i, j] - F[i, 2] - F[2, j] + F[2, 2] vanishes unless
+    i, j < 2, so it applies at the (up to 4) points {0, a} x {0, b}.  Summed over
+    the landmarks, a probe's cost to every vertex is a constant plus a row
+    term R[x] plus a column term C[y] plus corrections at no more than 4k
+    points: O(N + k) per probe.  Costs are laid out by point, x (n + 1) + y.
+
+    The per-landmark arrays are built per call, so that code tables cost
+    nothing more for callers that never batch.  They are indexed (class of
+    x, class of y, landmark, probe), so that each numpy loop runs over the
+    probes of a chunk.
+    """
+
+    def __init__(self, table: CodeTable):
+        g = table.graph
+        m, n = g.m, g.n
+        self.graph = g
+        self.chunk = max(1, _CHUNK_CELLS // g.vertex_count())
+        a, b = np.array([coordinates(w) for w in table.landmarks], dtype=np.intp).T
+        self.a, self.b = a, b
+        k = a.shape[0]
+        on_x, on_y = a != 0, b != 0
+        # star distance from each landmark to x = 0, x = a and any other x
+        sx = np.stack([on_x, np.zeros(k, dtype=bool), 1 + on_x]).astype(np.int32)
+        sy = np.stack([on_y, np.zeros(k, dtype=bool), 1 + on_y]).astype(np.int32)
+        self.dist = (sx[:, None] + sy[None, :])[..., None]
+        # row terms land on x in 0..m, column terms on m + 1 + y
+        lines = np.full((3, 3, k), -1, dtype=np.intp)
+        lines[0, 2] = 0
+        lines[1, 2] = np.where(on_x, a, -1)
+        lines[2, 0] = m + 1
+        lines[2, 1] = np.where(on_y, m + 1 + b, -1)
+        self.lines = _sum_plan(lines)
+        xs = np.stack([np.zeros(k, dtype=np.intp), np.where(on_x, a, -1)])
+        ys = np.stack([np.zeros(k, dtype=np.intp), np.where(on_y, b, -1)])
+        points = np.full((3, 3, k), -1, dtype=np.intp)
+        points[:2, :2] = np.where((xs[:, None] < 0) | (ys[None, :] < 0), -1,
+                                  xs[:, None] * (n + 1) + ys[None, :])
+        self.points = _sum_plan(points)
+
+    def ideal(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (T, k) int8 codes of the vertices with canonical indices idx,
+        from the star distances of their points, and those points."""
+        x, y = _points(self.graph.m, self.graph.n, idx)
+        codes = star_distance(x[:, None], self.a) + star_distance(y[:, None], self.b)
+        return codes, x * (self.graph.n + 1) + y
+
+    def costs(self, probes: np.ndarray, metric: str) -> np.ndarray:
+        """(T, (m + 1)(n + 1)) int32 Hamming or L1 distances from each probe,
+        a row of nonnegative integers, to the code of every point."""
+        m, n = self.graph.m, self.graph.n
+        t = probes.shape[0]
+        q = probes.T.astype(np.int32)
+        if metric == "hamming":
+            f = (q != self.dist).astype(np.int32)
+        else:
+            f = np.abs(q - self.dist)
+        generic = f[2, 2].copy()
+        f -= generic
+        f[:2, :2] -= f[:2, 2:] + f[2:, :2]
+        flat = f.reshape(-1, t)
+        take, starts, targets = self.lines
+        lines = np.zeros((m + n + 2, t), dtype=np.int32)
+        lines[targets] = np.add.reduceat(flat[take], starts, axis=0, dtype=np.int32)
+        lines[:m + 1] += generic.sum(axis=0, dtype=np.int32)
+        lines = np.ascontiguousarray(lines.T)
+        out = lines[:, :m + 1, None] + lines[:, None, m + 1:]
+        out = out.reshape(t, -1)
+        take, starts, targets = self.points
+        out[:, targets] += np.add.reduceat(flat[take], starts, axis=0, dtype=np.int32).T
+        return out
+
+
+def _nearest_batch(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of costs: the first minimum's index, the minimum, and whether
+    another entry ties it.  Overwrites each first minimum with the int32
+    maximum."""
+    rows = np.arange(costs.shape[0])
+    best = costs.argmin(axis=1)
+    dist = costs[rows, best]
+    costs[rows, best] = np.iinfo(np.int32).max
+    return best, dist, costs.min(axis=1) == dist
 
 
 @dataclass(frozen=True)
@@ -213,9 +404,42 @@ class SimulationResult:
         }
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{trial}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+def _noise_key(seed: int) -> int:
+    return int.from_bytes(hashlib.sha256(str(seed).encode()).digest()[:8], "big")
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output of each uint64 counter; products wrap mod 2^64."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _hop_noise(key: int, first: int, count: int, k: int, p: float) -> np.ndarray:
+    """(count, k) int8 hop errors in {-1, 0, 1} of trials first, first + 1,
+    ..., drawn as :class:`NoiseModel` states, before clamping."""
+    trial = np.arange(count, dtype=np.uint64) + np.uint64((key + first) & _MASK64)
+    h = _splitmix64(_splitmix64(trial)[:, None] + np.arange(k, dtype=np.uint64))
+    # (h >> 11) / 2^53 < p exactly when the integer h >> 11 < ceil(p 2^53)
+    flip = (h >> np.uint64(11)) < np.uint64(math.ceil(p * 2.0**53))
+    return flip * ((h & np.uint64(1)).astype(np.int8) * 2 - 1)
+
+
+def _noisy_codes(
+    decoder: _BatchDecoder, noise: NoiseModel, first_trial: int, trials: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chunks of (the point of each trial's vertex, its noisy code)."""
+    total = decoder.graph.vertex_count()
+    k = decoder.a.shape[0]
+    key = _noise_key(noise.seed)
+    p = noise.flip_probability
+    for lo in range(first_trial, first_trial + trials, decoder.chunk):
+        count = min(decoder.chunk, first_trial + trials - lo)
+        codes, points = decoder.ideal((lo % total + np.arange(count)) % total)
+        if p > 0.0:
+            codes = np.maximum(codes + _hop_noise(key, lo, count, k, p), 0)
+        yield points, codes
 
 
 def simulate(
@@ -232,45 +456,37 @@ def simulate(
     reported rates are wrong decodes per trial and ties per trial.  With
     trials a multiple of N the rates are exact vertex-set averages.
 
-    Bit-reproducible for a fixed seed: each trial draws from a substream
-    keyed by (seed, trial index) alone, so a run over [0, trials) equals
-    the aggregate of disjoint shards (``first_trial`` is the shard offset).
+    Trials run in chunks: each chunk draws its noise in one pass over a
+    (trials, k) counter array and decodes with the structural batch decode
+    of :func:`decode_batch`, whose results equal :func:`decode`'s.  Ideal
+    codes come from the star distances of the trial vertices' points, not
+    from the code table, which is built to check the landmarks and to report
+    ``min_pairwise_l1``.
+
+    Bit-reproducible for a fixed seed: a trial's noise is keyed by (seed,
+    trial index) alone (see :class:`NoiseModel`), so a run over [0, trials)
+    equals the aggregate of disjoint shards (``first_trial`` is the shard
+    offset).
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
     if first_trial < 0:
         raise InputError("first_trial must be >= 0")
+    _check_metric(metric)
     table = code_table(g, landmarks)
-    total = len(table)
-    p = noise.flip_probability
+    decoder = _BatchDecoder(table)
     wrong = 0
     ties = 0
-    for t in range(first_trial, first_trial + trials):
-        idx = t % total
-        ideal = table.matrix[idx]
-        if p == 0.0:
-            noisy = ideal
-        else:
-            rng = _trial_rng(noise.seed, t)
-            perturbed = []
-            for entry in ideal.tolist():
-                if rng.random() < p:
-                    entry += 1 if rng.random() < 0.5 else -1
-                    if entry < 0:
-                        entry = 0
-                perturbed.append(entry)
-            noisy = perturbed
-        _, hits = _nearest(noisy, table, metric)
-        if hits.shape[0] > 1:
-            ties += 1
-        elif hits[0] != idx:
-            wrong += 1
+    for truth, codes in _noisy_codes(decoder, noise, first_trial, trials):
+        best, _, tied = _nearest_batch(decoder.costs(codes, metric))
+        ties += int(np.count_nonzero(tied))
+        wrong += int(np.count_nonzero(~tied & (best != truth)))
     return SimulationResult(
         m=g.m,
         n=g.n,
         basis_size=len(landmarks),
         metric=metric,
-        p=p,
+        p=noise.flip_probability,
         trials=trials,
         seed=noise.seed,
         misidentification_rate=wrong / trials,

@@ -14,6 +14,10 @@ subset scan before it tested blocks of candidates with numpy: one Python
 int bitmask per vertex pair, and one candidate at a time, pruned at the
 first pair it leaves unresolved.
 
+:func:`brute_force_decode` is nearest-code decoding by broadcasting every
+probe against the full code matrix, a (T, N, k) tensor, the naive batch
+form of :func:`stargrid.decode` that :func:`stargrid.decode_batch` avoids.
+
 :func:`bfs_classify_components` is :func:`stargrid.classify_components`
 before it ran union-find over relay indices: a breadth-first search over
 adjacency lists of the auxiliary graph's vertex objects, built here from
@@ -58,6 +62,16 @@ def pairwise_min_l1(g: GridGraph, landmarks) -> int:
         diff[np.arange(hi - lo), np.arange(lo, hi)] = best
         best = min(best, int(diff.min()))
     return best
+
+
+def brute_force_decode(g: GridGraph, landmarks, probes, metric: str):
+    """Per probe, the smallest Hamming or L1 distance to a vertex's code and
+    the canonical indices of every vertex at that distance."""
+    codes = code_matrix(g, tuple(landmarks)).astype(np.int64)
+    diff = np.asarray(probes, dtype=np.int64)[:, None, :] - codes[None, :, :]
+    dists = (diff != 0).sum(axis=2) if metric == "hamming" else np.abs(diff).sum(axis=2)
+    best = dists.min(axis=1)
+    return [(int(d), tuple(np.flatnonzero(row == d).tolist())) for d, row in zip(best, dists)]
 
 
 def int_pair_masks(dist) -> tuple[int, ...]:

@@ -1,8 +1,10 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
+from stargrid import dimension
 from stargrid.cli import main
 
 
@@ -197,6 +199,45 @@ def test_sweep_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "m,n,dim\n1,1,2\n1,2,2\n2,2,2\n"
+
+
+def _joined_sweep(pairs):
+    """The sweep CSV built whole, as sweep wrote it before it streamed rows."""
+    rows = ["m,n,dim"]
+    rows.extend(f"{m},{n},{dimension(m, n)}" for m, n in pairs)
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("argv, pairs", [
+    (("--n-max", "1"), [(1, 1)]),
+    (("--n-max", "9"), [(m, n) for m in range(1, 10) for n in range(m, 10)]),
+    (("--fixed-n", "1"), [(1, 1)]),
+    (("--fixed-n", "17"), [(m, 17) for m in range(1, 18)]),
+])
+def test_sweep_streams_the_joined_csv(capsys, tmp_path, argv, pairs):
+    expected = _joined_sweep(pairs)
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    assert out == expected
+    target = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(capsys, "sweep", *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == expected.encode()
+
+
+def test_sweep_memory_stays_flat(capsys, tmp_path):
+    # 500,500 rows: held whole they took about 46 MB
+    target = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--n-max", "1000", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000, peak
+    with open(target, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 500_501
 
 
 def test_sweep_requires_mode(capsys):

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import pairwise_min_l1
+from reference import brute_force_decode, pairwise_min_l1
 
 from stargrid import (
     HUB,
@@ -21,10 +22,13 @@ from stargrid import (
     code_matrix,
     code_table,
     decode,
+    decode_batch,
     is_resolving,
     parse_vertex,
     simulate,
 )
+from stargrid import localize
+from stargrid.grid import coordinates
 
 # Every grid with at most 20 vertices, both orientations.
 SMALL_GRIDS = [(m, n) for m in range(1, 10) for n in range(1, 10) if (m + 1) * (n + 1) <= 20]
@@ -219,12 +223,114 @@ def test_decode_validates_input():
         decode((1,), table)
     with pytest.raises(InputError):
         decode((1, 1), table, metric="cosine")
+    with pytest.raises(InputError, match="one length"):
+        decode(((1, 2), 3), table)
     for bad in [(0.9, 2.7), np.array([1.0, 2.0]), ("1", "2"), (True, False)]:
         with pytest.raises(InputError, match="must be integers"):
             decode(bad, table)
     for bad in [(40000, 1), (1, -40000), np.array([1, 2**40])]:
         with pytest.raises(InputError, match="does not fit int16"):
             decode(bad, table)
+
+
+@pytest.mark.parametrize("entry", [-1, -32768])
+def test_decode_rejects_negative_entries(entry):
+    # hop counts are never negative, and -32768 would wrap in the int16
+    # subtraction of the matrix decode
+    table = code_table(GridGraph(2, 2), build_basis(2, 2))
+    for metric in ("hamming", "l1"):
+        with pytest.raises(InputError, match=rf"code entry {entry} at \[0\] is negative"):
+            decode((entry, 0), table, metric)
+        with pytest.raises(InputError, match=rf"code entry {entry} at \[1, 1\] is negative"):
+            decode_batch([(0, 0), (1, entry)], table, metric)
+        with pytest.raises(InputError, match="is negative"):
+            decode_batch(np.array([[entry, 0]], dtype=np.int64), table, metric)
+
+
+def test_decode_batch_validates_input():
+    table = code_table(GridGraph(2, 2), build_basis(2, 2))
+    assert decode_batch([], table) == []
+    assert decode_batch(np.zeros((0, 2), dtype=np.int64), table, "l1") == []
+    with pytest.raises(InputError):
+        decode_batch([(1, 1)], table, metric="cosine")
+    for bad in ([(1,)], [(1, 1, 1)], (1, 1), [(1, 1), (1,)], [[(1, 1)]]):
+        with pytest.raises(InputError):
+            decode_batch(bad, table)
+    for bad in ([(0.9, 2.7)], np.array([[1.0, 2.0]]), [("1", "2")], [(True, False)]):
+        with pytest.raises(InputError, match="must be integers"):
+            decode_batch(bad, table)
+    for bad in ([(40000, 1)], [(1, 1), (1, -40000)], np.array([[1, 2**40]])):
+        with pytest.raises(InputError, match="does not fit int16"):
+            decode_batch(bad, table)
+
+
+def _as_indices(g, results):
+    """Each decode result as (distance, canonical indices of its vertices)."""
+    out = []
+    for r in results:
+        hits = (r.vertex,) if r.vertex is not None else r.ties
+        out.append((r.distance, tuple(g.index_of(v) for v in hits)))
+    return out
+
+
+def _probes(rnd, table, count):
+    """Probes with entries 0..6: drawn at random, and ideal codes moved by
+    one hop in a few coordinates, which tie and mislead far more often."""
+    g, k = table.graph, table.code_length
+    probes = [tuple(rnd.randint(0, 6) for _ in range(k)) for _ in range(count)]
+    for _ in range(count):
+        code = list(table.code_of(g.vertex_at(rnd.randrange(g.vertex_count()))))
+        for pos in rnd.sample(range(k), min(k, rnd.randint(1, 3))):
+            code[pos] = max(0, code[pos] + rnd.choice((1, -1)))
+        probes.append(tuple(code))
+    return probes
+
+
+def _check_batch(table, probes):
+    g = table.graph
+    for metric in ("hamming", "l1"):
+        batch = decode_batch(probes, table, metric)
+        assert batch == [decode(p, table, metric) for p in probes], metric
+        assert _as_indices(g, batch) == \
+            brute_force_decode(g, table.landmarks, probes, metric), metric
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_decode_batch_matches_decode_on_constructed_bases(m):
+    rnd = random.Random(m)
+    for n in range(1, 31):
+        table = code_table(GridGraph(m, n), build_basis(m, n))
+        _check_batch(table, _probes(rnd, table, 6))
+
+
+def test_decode_batch_matches_decode_with_hub_and_relays():
+    g = GridGraph(6, 9)
+    landmarks = list(build_basis(6, 9).landmarks) + [HUB, Row(2), Row(6), Col(5), Col(9)]
+    table = code_table(g, ResolvingSet(tuple(landmarks), verified=True))
+    rnd = random.Random(69)
+    _check_batch(table, _probes(rnd, table, 150))
+    # every probe with entries 0..6 on a set of relays and the hub alone
+    g = GridGraph(2, 2)
+    table = code_table(g, ResolvingSet((HUB, Row(1), Col(1), Row(2)), verified=True))
+    _check_batch(table, list(itertools.product(range(7), repeat=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(resolving_sets(), st.randoms(use_true_random=False))
+def test_decode_batch_matches_decode_on_drawn_sets(case, rnd):
+    g, landmarks = case
+    table = code_table(g, ResolvingSet(tuple(landmarks), verified=True))
+    _check_batch(table, _probes(rnd, table, 8))
+
+
+def test_decode_batch_chunks_agree(monkeypatch):
+    # chunks of 1 to 3 probes decode as one chunk does
+    table = code_table(GridGraph(3, 4), build_basis(3, 4))
+    probes = _probes(random.Random(5), table, 40)
+    whole = decode_batch(probes, table, "l1")
+    for cells in (20, 40, 60):
+        monkeypatch.setattr(localize, "_CHUNK_CELLS", cells)
+        assert decode_batch(probes, table, "l1") == whole, cells
 
 
 def test_decode_accepts_numpy_integer_codes():
@@ -315,3 +421,93 @@ def test_simulate_validates_trials():
     g = GridGraph(2, 2)
     with pytest.raises(InputError):
         simulate(g, build_basis(2, 2), NoiseModel(0.0), trials=0)
+
+
+def _drawn(g, landmarks, noise, first_trial, trials):
+    """Every (point, noisy code) pair simulate decodes for these trials."""
+    decoder = localize._BatchDecoder(code_table(g, landmarks))
+    points, codes = zip(*localize._noisy_codes(decoder, noise, first_trial, trials))
+    return np.concatenate(points), np.concatenate(codes)
+
+
+def _point_vertex(g, point):
+    x, y = divmod(int(point), g.n + 1)
+    return next(v for v in g.vertices() if coordinates(v) == (x, y))
+
+
+@pytest.mark.parametrize("m,n,extra", [
+    (4, 5, ()),
+    (6, 9, (HUB, Row(2), Col(9))),
+    (12, 7, ()),
+])
+def test_simulate_counts_equal_per_trial_decode(m, n, extra, monkeypatch):
+    g = GridGraph(m, n)
+    landmarks = ResolvingSet(tuple(build_basis(m, n).landmarks) + extra, verified=True)
+    table = code_table(g, landmarks)
+    # small chunks, so that trials span several
+    monkeypatch.setattr(localize, "_CHUNK_CELLS", 7 * g.vertex_count())
+    for p, metric in itertools.product((0.0, 0.05, 0.2, 0.5), ("hamming", "l1")):
+        noise = NoiseModel(p, seed=m * n)
+        points, codes = _drawn(g, landmarks, noise, 3, 150)
+        wrong = ties = 0
+        for point, code in zip(points, codes):
+            result = decode(code, table, metric)
+            if result.ambiguous:
+                ties += 1
+            elif result.vertex != _point_vertex(g, point):
+                wrong += 1
+        r = simulate(g, landmarks, noise, trials=150, metric=metric, first_trial=3)
+        assert (r.misidentification_rate, r.ambiguity_rate) == (wrong / 150, ties / 150)
+        if p == 0.0:
+            assert wrong == ties == 0
+
+
+def test_noisy_codes_are_keyed_by_trial_not_by_call(monkeypatch):
+    g = GridGraph(4, 6)
+    basis = build_basis(4, 6)
+    noise = NoiseModel(0.2, seed=123)
+    points, whole = _drawn(g, basis, noise, 10, 200)
+    for cells in (3 * g.vertex_count(), 16 * g.vertex_count()):
+        monkeypatch.setattr(localize, "_CHUNK_CELLS", cells)
+        for cut in (11, 77, 150):
+            lo = _drawn(g, basis, noise, 10, cut - 10)
+            hi = _drawn(g, basis, noise, cut, 210 - cut)
+            assert np.array_equal(np.concatenate([lo[0], hi[0]]), points)
+            assert np.array_equal(np.concatenate([lo[1], hi[1]]), whole), (cells, cut)
+
+
+def test_zero_noise_leaves_codes_unchanged():
+    for m, n in [(1, 1), (3, 8), (9, 2)]:
+        g = GridGraph(m, n)
+        basis = build_basis(m, n)
+        points, codes = _drawn(g, basis, NoiseModel(0.0, seed=1), 0, 3 * g.vertex_count())
+        ideal = code_matrix(g, basis.landmarks)
+        assert np.array_equal(codes, np.tile(ideal, (3, 1)))
+        assert [_point_vertex(g, q) for q in points[:g.vertex_count()]] == g.vertices()
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
+def test_noise_flip_rate_and_sign_balance(p):
+    # 10^5 draws: 2,500 trials of 40 coordinates
+    steps = localize._hop_noise(localize._noise_key(2024), 0, 2500, 40, p)
+    draws = steps.size
+    flips = np.count_nonzero(steps)
+    assert abs(flips / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws)
+    ups = np.count_nonzero(steps == 1)
+    assert abs(ups / flips - 0.5) <= 5 * math.sqrt(0.25 / flips)
+    assert not localize._hop_noise(localize._noise_key(2024), 0, 2500, 40, 0.0).any()
+    assert np.count_nonzero(localize._hop_noise(localize._noise_key(2024), 0, 50, 40, 1.0)) == 2000
+
+
+def test_noise_accepts_any_int_seed():
+    g = GridGraph(5, 5)
+    basis = build_basis(5, 5)
+    streams = {}
+    for seed in (0, -1, 2**64, -(2**70)):
+        noise = NoiseModel(0.3, seed=seed)
+        streams[seed] = _drawn(g, basis, noise, 0, 100)[1]
+        r = simulate(g, basis, noise, trials=100)
+        assert r.seed == seed
+        assert 0.0 <= r.misidentification_rate + r.ambiguity_rate <= 1.0
+    for a, b in itertools.combinations(streams, 2):
+        assert not np.array_equal(streams[a], streams[b]), (a, b)
