@@ -16,10 +16,11 @@ into a tail of that table.  numpy tests each block in chunks that start
 small and grow 4x, so a first-hit search stops early, against the pair
 masks in growing chunks as well, since the first few pairs reject most
 candidates.  On one 2.0 GHz Xeon core, enumerating all 27 million
-7-subsets of the (5, 6) grid's 42 vertices takes about 1.5 s, and the
+7-subsets of the (5, 6) grid's 42 vertices takes about 1.6 s, and the
 (5, 6) dimension search, which first rules out the 6.2 million smaller
-subsets, about 0.6 s.  Budgets are enforced up front: a level of the search
-is never started unless its full candidate count fits, so a call either
+subsets, about 0.5 s.  Budgets are enforced up front: a level of the search
+is never started unless its full candidate count fits, and a single-size
+search is refused before its distance table is built, so a call either
 completes or fails fast with :class:`~stargrid.errors.BudgetError` -- it
 never returns a wrong answer.
 
@@ -62,6 +63,9 @@ _BLOCK_ROWS = 1 << 14
 _FIRST_ROWS = 64
 _FIRST_PAIRS = 16
 _ELEMENTS = 1 << 15
+# The most booleans one block of _pair_masks compares at once; blocks this
+# small keep its temporaries in cache.
+_MASK_BOOLS = 1 << 18
 
 
 class SimpleGraph:
@@ -102,30 +106,37 @@ def bfs_distances(g: GridGraph, cap: int = 2000) -> np.ndarray:
     """All-pairs hop counts by BFS over ``g.neighbors`` only.
 
     Returns an (N, N) uint8 table in canonical vertex order.  Refuses
-    graphs with more than ``cap`` vertices.
+    graphs with more than ``cap`` vertices.  Every source searches at once:
+    row s of a boolean frontier holds the vertices at the current distance
+    from s, and the next level is, per vertex, the OR of the frontier over
+    its neighbour list (one ``reduceat`` over the lists laid end to end),
+    less the vertices already reached.  Every grid vertex has a neighbour,
+    so no list is empty.  The search stops once every pair is reached, so
+    a grid of diameter d takes d levels.
     """
     total = g.vertex_count()
     if total > cap:
         raise BudgetError(f"grid has {total} vertices, BFS cap is {cap}")
-    adj: list[list[int]] = [
-        [g.index_of(w) for w in g.neighbors(v)] for v in g.vertices()
-    ]
-    table = np.empty((total, total), dtype=np.uint8)
-    for src in range(total):
-        dist = [255] * total
-        dist[src] = 0
-        frontier = [src]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if dist[w] == 255:
-                        dist[w] = level
-                        nxt.append(w)
-            frontier = nxt
-        table[src] = dist
+    verts = g.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    lists = [[index[w] for w in g.neighbors(v)] for v in verts]
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp)
+    starts = np.array([0, *itertools.accumulate(map(len, lists[:-1]))])
+    frontier = np.eye(total, dtype=bool)
+    unreached = ~frontier
+    table = unreached.view(np.uint8) * np.uint8(255)  # 0 on the diagonal
+    left = total * (total - 1)
+    level = 0
+    while left:
+        level += 1
+        frontier = np.logical_or.reduceat(frontier.take(flat, axis=1), starts, axis=1)
+        frontier &= unreached
+        found = np.count_nonzero(frontier)
+        if not found:
+            break  # the rest is unreachable and keeps 255
+        left -= found
+        unreached ^= frontier
+        table[frontier] = level
     return table
 
 
@@ -136,21 +147,46 @@ def _pair_masks(dist: np.ndarray) -> np.ndarray:
     64); vertex i is bit i % 64 of word i // 64.  Rows are sorted so the
     pairs with the fewest resolvers come first (ties in (x, y) order);
     scanning in this fixed order lets almost every failing candidate die on
-    its first few checks.
+    its first few checks.  The array is the transpose of a C-contiguous (W,
+    pairs) one, the layout :class:`_SubsetScan` reads, so the scan takes it
+    without a copy.
+
+    Pairs are compared in blocks of about ``_MASK_BOOLS`` booleans.  A
+    table that fits one block is compared once; a larger one twice, first
+    for the resolver counts that fix each pair's place and then for the
+    masks, written straight to that place, so the peak stays near one
+    output.
     """
     total = dist.shape[0]
     words = -(-total // 64)
-    masks = []
-    counts = []
-    for x in range(total - 1):
-        differs = np.zeros((total - 1 - x, 64 * words), dtype=bool)
-        np.not_equal(dist[x + 1:], dist[x], out=differs[:, :total])
-        counts.append(differs.sum(axis=1))
-        masks.append(np.packbits(differs, axis=1, bitorder="little").view(_WORD))
-    if not masks:
-        return np.zeros((0, words), dtype=_WORD)
-    order = np.argsort(np.concatenate(counts), kind="stable")
-    return np.concatenate(masks)[order]
+    xs, ys = np.triu_indices(total, 1)
+    pairs = len(xs)
+    step = max(1, _MASK_BOOLS // max(1, total))
+
+    def differs(lo: int) -> np.ndarray:
+        return dist[xs[lo:lo + step]] != dist[ys[lo:lo + step]]
+
+    def count(block: np.ndarray) -> np.ndarray:
+        # a byte sum into uint32 is about twice as fast as a bool sum, and
+        # a count is at most N
+        return block.view(np.uint8).sum(axis=1, dtype=np.uint32)
+
+    def pack(block: np.ndarray) -> np.ndarray:
+        packed = np.zeros((len(block), 8 * words), dtype=np.uint8)
+        packed[:, :-(-total // 8)] = np.packbits(block, axis=1, bitorder="little")
+        return packed.view(_WORD).T
+
+    if pairs <= step:
+        block = differs(0)
+        order = np.argsort(count(block), kind="stable")
+        return np.take(pack(block), order, axis=1).T
+    counts = np.concatenate([count(differs(lo)) for lo in range(0, pairs, step)])
+    rank = np.empty(pairs, dtype=np.intp)
+    rank[np.argsort(counts, kind="stable")] = np.arange(pairs)
+    out = np.empty((words, pairs), dtype=_WORD)
+    for lo in range(0, pairs, step):
+        out[:, rank[lo:lo + step]] = pack(differs(lo))
+    return out.T
 
 
 def _gate(budget: SearchBudget, planned: int, context: str) -> None:
@@ -248,8 +284,11 @@ class _SubsetScan:
         tails = [table.shape[1] - comb(count - 1 - i, r) for i in range(count - r)]
         for head in itertools.combinations(range(count - r - 1), k - r - 1):
             mask = np.bitwise_or.reduce(unit[:, head], axis=1)[:, None]
-            # pairs the head already tells apart need no test
-            pair_masks = self.pair_masks[:, ~(self.pair_masks & mask).any(axis=0)]
+            pair_masks = self.pair_masks
+            if head:
+                # pairs the head already tells apart need no test; an empty
+                # head tells none apart, and filtering would copy every mask
+                pair_masks = pair_masks[:, ~(pair_masks & mask).any(axis=0)]
             parts, size = [], 0
             for i in range(head[-1] + 1 if head else 0, count - r):
                 part = table[:, tails[i]:]
@@ -304,14 +343,12 @@ def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDG
     :func:`enumerate_minimum_bases`)."""
     if k < 1:
         raise InputError("subset size must be >= 1")
-    dist = bfs_distances(g)
     total = g.vertex_count()
     _gate(budget, comb(total, k), f"basis enumeration on ({g.m}, {g.n}) at size {k}")
     verts = g.vertices()
-    for combo in _SubsetScan(range(total), _pair_masks(dist)).resolving(k):
-        yield ResolvingSet(
-            tuple(verts[i] for i in combo), verified=True, provenance="oracle"
-        )
+    # the scan's index tuples are strictly increasing, so no landmark repeats
+    for combo in _SubsetScan(range(total), _pair_masks(bfs_distances(g))).resolving(k):
+        yield ResolvingSet._distinct(tuple([verts[i] for i in combo]), True, "oracle")
 
 
 def enumerate_minimum_bases(
@@ -348,10 +385,11 @@ def _adjacency_table(host) -> np.ndarray:
     verts = list(host.vertices())
     total = len(verts)
     table = np.full((total, total), 2, dtype=np.uint8)
+    # adjacency is symmetric, so ask once per unordered pair
     for x, v in enumerate(verts):
-        for y, w in enumerate(verts):
-            if v != w and host.is_adjacent(v, w):
-                table[x, y] = 1
+        for y in range(x + 1, total):
+            if host.is_adjacent(v, verts[y]):
+                table[x, y] = table[y, x] = 1
     np.fill_diagonal(table, 0)
     return table
 
@@ -365,8 +403,7 @@ def exists_hub_free_basis(
     """
     if k < 1:
         raise InputError("subset size must be >= 1")
-    dist = bfs_distances(g)
     total = g.vertex_count()
     _gate(budget, comb(total - 1, k), f"hub-free search on ({g.m}, {g.n}) at size {k}")
-    pair_masks = _pair_masks(dist)
-    return next(_SubsetScan(range(1, total), pair_masks).resolving(k), None) is not None
+    scan = _SubsetScan(range(1, total), _pair_masks(bfs_distances(g)))
+    return next(scan.resolving(k), None) is not None

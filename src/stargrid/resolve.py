@@ -64,6 +64,16 @@ class ResolvingSet:
         if len(set(self.landmarks)) != len(self.landmarks):
             raise InputError("duplicate landmarks in resolving set")
 
+    @classmethod
+    def _distinct(cls, landmarks: tuple[Vertex, ...], verified: bool,
+                  provenance: str) -> "ResolvingSet":
+        """Build without the duplicate check, for landmarks distinct by
+        construction, such as the oracle's strictly increasing index tuples;
+        the check costs more than the rest of the construction."""
+        self = object.__new__(cls)
+        self.__dict__.update(landmarks=landmarks, verified=verified, provenance=provenance)
+        return self
+
     def __len__(self) -> int:
         return len(self.landmarks)
 

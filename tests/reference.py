@@ -14,6 +14,13 @@ subset scan before it tested blocks of candidates with numpy: one Python
 int bitmask per vertex pair, and one candidate at a time, pruned at the
 first pair it leaves unresolved.
 
+:func:`python_bfs_distances` is :func:`stargrid.bfs_distances` before it
+searched from every source at once with numpy: one pure-Python BFS per
+source over neighbour lists indexed with ``index_of``.
+
+:func:`square_adjacency_table` is the oracle's adjacency table before it
+asked ``is_adjacent`` once per unordered pair: every ordered pair, N^2 calls.
+
 :func:`brute_force_decode` is nearest-code decoding by broadcasting every
 probe against the full code matrix, a (T, N, k) tensor, the naive batch
 form of :func:`stargrid.decode` that :func:`stargrid.decode_batch` avoids.
@@ -100,6 +107,42 @@ def int_resolving_subsets(indices, k: int, pair_masks):
                 break
         else:
             yield tuple(b.bit_length() - 1 for b in combo)
+
+
+def python_bfs_distances(g: GridGraph) -> np.ndarray:
+    """(N, N) uint8 hop counts in canonical order, 255 where unreachable."""
+    total = g.vertex_count()
+    adj = [[g.index_of(w) for w in g.neighbors(v)] for v in g.vertices()]
+    table = np.empty((total, total), dtype=np.uint8)
+    for src in range(total):
+        dist = [255] * total
+        dist[src] = 0
+        frontier = [src]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if dist[w] == 255:
+                        dist[w] = level
+                        nxt.append(w)
+            frontier = nxt
+        table[src] = dist
+    return table
+
+
+def square_adjacency_table(host) -> np.ndarray:
+    """The host's distances truncated at 2, in ``host.vertices()`` order."""
+    verts = list(host.vertices())
+    total = len(verts)
+    table = np.full((total, total), 2, dtype=np.uint8)
+    for x, v in enumerate(verts):
+        for y, w in enumerate(verts):
+            if v != w and host.is_adjacent(v, w):
+                table[x, y] = 1
+    np.fill_diagonal(table, 0)
+    return table
 
 
 def bfs_classify_components(aux) -> ComponentReport:

@@ -160,6 +160,22 @@ def test_oracle_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_oracle_refuses_large_grid_in_bounded_memory(capsys):
+    # (30, 30) runs its searches of size 1 and 2, then refuses size 3; its
+    # pair-mask table, 461,280 pairs of 16 uint64 words, dominates the peak
+    table = 461_280 * 16 * 8
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "--m", "30", "--n", "30"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "budget" in err
+    assert peak < 2 * table, (peak, table)
+
+
 @pytest.mark.parametrize("flag, value", [("--max-candidates", "-5"),
                                          ("--max-subset-size", "-1")])
 def test_oracle_rejects_negative_budget(capsys, flag, value):

@@ -1,11 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from reference import int_pair_masks, int_resolving_subsets
+from reference import (
+    int_pair_masks,
+    int_resolving_subsets,
+    python_bfs_distances,
+    square_adjacency_table,
+)
 
 from stargrid import (
     HUB,
@@ -13,6 +19,7 @@ from stargrid import (
     Cell,
     GridGraph,
     InputError,
+    ResolvingSet,
     Row,
     SearchBudget,
     SimpleGraph,
@@ -29,6 +36,7 @@ from stargrid import (
     is_resolving,
     iter_minimum_bases,
 )
+from stargrid import oracle
 from stargrid.oracle import _adjacency_table, _pair_masks, _SubsetScan
 
 # every grid with at most 26 vertices, m <= n
@@ -49,6 +57,15 @@ def test_bfs_matches_closed_form():
     for m, n in [(1, 2), (2, 2), (3, 4), (5, 5), (6, 8)]:
         g = GridGraph(m, n)
         assert np.array_equal(bfs_distances(g), full_distance_matrix(g)), (m, n)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 9) for n in range(1, 9)]
+                         + [(1, 30), (30, 1), (10, 10)])
+def test_bfs_matches_python_reference(m, n):
+    g = GridGraph(m, n)
+    got, want = bfs_distances(g), python_bfs_distances(g)
+    assert got.dtype == want.dtype == np.uint8
+    assert np.array_equal(got, want)
 
 
 def test_bfs_diameter():
@@ -113,6 +130,33 @@ def test_brute_force_budget_refusal():
         brute_force_dimension(g, SearchBudget(max_candidates=100_000))
     with pytest.raises(BudgetError):
         brute_force_dimension(GridGraph(2, 2), SearchBudget(max_subset_size=1))
+
+
+def test_refusals_run_no_bfs(monkeypatch):
+    # the gate needs only N and k, so an over-budget call refuses before
+    # paying for the distance table
+    def no_bfs(g, cap=2000):
+        raise RuntimeError("BFS ran before the budget gate")
+
+    monkeypatch.setattr(oracle, "bfs_distances", no_bfs)
+    g = GridGraph(10, 10)  # comb(121, 5) and comb(120, 5) exceed the default budget
+    with pytest.raises(BudgetError):
+        enumerate_minimum_bases(g, 5)
+    with pytest.raises(BudgetError):
+        exists_hub_free_basis(g, 5)
+
+
+@pytest.mark.parametrize("m,n", [(2, 7), (7, 2), (4, 4)])
+def test_enumerated_bases_equal_checked_sets(m, n):
+    # bases skip the duplicate check; they must still equal, and hash like,
+    # sets built through the public constructor
+    g = GridGraph(m, n)
+    bases = enumerate_minimum_bases(g, dimension(m, n))
+    assert bases
+    for b in bases:
+        checked = ResolvingSet(b.landmarks, verified=True, provenance="oracle")
+        assert b == checked and hash(b) == hash(checked), b
+        assert len(set(b.landmarks)) == len(b.landmarks)
 
 
 def test_enumerate_minimum_bases_four_cycle():
@@ -185,6 +229,13 @@ def _small_hosts():
                for m, n in [(2, 2), (2, 3), (3, 3)]])
 
 
+def test_adjacency_table_matches_square_construction():
+    for host in _small_hosts():
+        table = _adjacency_table(host)
+        assert np.array_equal(table, table.T), host.vertices()
+        assert np.array_equal(table, square_adjacency_table(host)), host.vertices()
+
+
 def test_adjacency_dimension_matches_definition():
     for host in _small_hosts():
         assert (brute_force_adjacency_dimension(host)
@@ -238,6 +289,34 @@ def test_pair_masks_layout():
         assert masks.dtype == np.dtype("<u8")
         assert masks.shape == (total * (total - 1) // 2, words), (m, n)
     assert _pair_masks(np.zeros((1, 1), dtype=np.uint8)).shape == (0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70).flatmap(
+    lambda total: arrays(np.uint8, (total, total), elements=st.integers(0, 4))),
+    st.sampled_from([1, 50, 1000]))
+def test_pair_masks_blockwise_matches_one_block(dist, bools):
+    # tiny blocks force the two-pass path, with a partial last block
+    one_block = _pair_masks(dist)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_MASK_BOOLS", bools)
+        blockwise = _pair_masks(dist)
+    assert blockwise.shape == one_block.shape and blockwise.dtype == one_block.dtype
+    assert blockwise.tobytes() == one_block.tobytes()
+    assert _as_ints(one_block) == list(int_pair_masks(dist))
+
+
+def test_pair_masks_memory():
+    # 961 vertices: 461,280 pairs of 16 words, a 56 MB table
+    dist = bfs_distances(GridGraph(30, 30))
+    tracemalloc.start()
+    try:
+        masks = _pair_masks(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (461_280, 16)
+    assert peak < 1.5 * masks.nbytes, (peak, masks.nbytes)
 
 
 @pytest.mark.parametrize("m,n", SMALL_GRIDS)
