@@ -107,36 +107,33 @@ def bfs_distances(g: GridGraph, cap: int = 2000) -> np.ndarray:
 
     Returns an (N, N) uint8 table in canonical vertex order.  Refuses
     graphs with more than ``cap`` vertices.  Every source searches at once:
-    row s of a boolean frontier holds the vertices at the current distance
-    from s, and the next level is, per vertex, the OR of the frontier over
-    its neighbour list (one ``reduceat`` over the lists laid end to end),
-    less the vertices already reached.  Every grid vertex has a neighbour,
-    so no list is empty.  The search stops once every pair is reached, so
-    a grid of diameter d takes d levels.
+    row s of a boolean table holds the vertices not yet reached from s, and
+    a vertex stays unreached one more level if it and every vertex on its
+    neighbour list were unreached (one ``reduceat`` over the lists laid end
+    to end).  A pair's distance is the number of levels at which it was
+    unreached, and 255 marks a pair that is never reached.  No list may be
+    empty, and no grid vertex's is.  The search stops once every pair is
+    reached, so a grid of diameter d takes d levels.
     """
     total = g.vertex_count()
     if total > cap:
         raise BudgetError(f"grid has {total} vertices, BFS cap is {cap}")
     verts = g.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    lists = [[index[w] for w in g.neighbors(v)] for v in verts]
-    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp)
+    index = dict(zip(verts, range(total)))
+    lists = list(map(g.neighbors, verts))
+    flat = np.array([index[w] for w in itertools.chain.from_iterable(lists)], dtype=np.intp)
     starts = np.array([0, *itertools.accumulate(map(len, lists[:-1]))])
-    frontier = np.eye(total, dtype=bool)
-    unreached = ~frontier
-    table = unreached.view(np.uint8) * np.uint8(255)  # 0 on the diagonal
+    unreached = ~np.eye(total, dtype=bool)
+    table = np.zeros((total, total), dtype=np.uint8)
     left = total * (total - 1)
-    level = 0
     while left:
-        level += 1
-        frontier = np.logical_or.reduceat(frontier.take(flat, axis=1), starts, axis=1)
-        frontier &= unreached
-        found = np.count_nonzero(frontier)
-        if not found:
-            break  # the rest is unreachable and keeps 255
-        left -= found
-        unreached ^= frontier
-        table[frontier] = level
+        table += unreached.view(np.uint8)
+        unreached &= np.logical_and.reduceat(unreached.take(flat, axis=1), starts, axis=1)
+        now = np.count_nonzero(unreached)
+        if now == left:
+            table[unreached] = 255  # the rest is unreachable
+            break
+        left = now
     return table
 
 
@@ -151,41 +148,30 @@ def _pair_masks(dist: np.ndarray) -> np.ndarray:
     pairs) one, the layout :class:`_SubsetScan` reads, so the scan takes it
     without a copy.
 
-    Pairs are compared in blocks of about ``_MASK_BOOLS`` booleans.  A
-    table that fits one block is compared once; a larger one twice, first
-    for the resolver counts that fix each pair's place and then for the
-    masks, written straight to that place, so the peak stays near one
-    output.
+    Pairs are compared in blocks of about ``_MASK_BOOLS`` booleans, twice:
+    first for the resolver counts that fix the pairs' order, then in that
+    order for the masks, each block written straight to its place, so the
+    peak stays near one output.
     """
     total = dist.shape[0]
     words = -(-total // 64)
     xs, ys = np.triu_indices(total, 1)
     pairs = len(xs)
     step = max(1, _MASK_BOOLS // max(1, total))
-
-    def differs(lo: int) -> np.ndarray:
-        return dist[xs[lo:lo + step]] != dist[ys[lo:lo + step]]
-
-    def count(block: np.ndarray) -> np.ndarray:
+    blocks = [slice(lo, lo + step) for lo in range(0, pairs, step)]
+    counts = np.empty(pairs, dtype=np.uint32)
+    for b in blocks:
         # a byte sum into uint32 is about twice as fast as a bool sum, and
         # a count is at most N
-        return block.view(np.uint8).sum(axis=1, dtype=np.uint32)
-
-    def pack(block: np.ndarray) -> np.ndarray:
+        counts[b] = (dist[xs[b]] != dist[ys[b]]).view(np.uint8).sum(axis=1, dtype=np.uint32)
+    order = np.argsort(counts, kind="stable")
+    xs, ys = xs[order], ys[order]
+    out = np.empty((words, pairs), dtype=_WORD)
+    for b in blocks:
+        block = dist[xs[b]] != dist[ys[b]]
         packed = np.zeros((len(block), 8 * words), dtype=np.uint8)
         packed[:, :-(-total // 8)] = np.packbits(block, axis=1, bitorder="little")
-        return packed.view(_WORD).T
-
-    if pairs <= step:
-        block = differs(0)
-        order = np.argsort(count(block), kind="stable")
-        return np.take(pack(block), order, axis=1).T
-    counts = np.concatenate([count(differs(lo)) for lo in range(0, pairs, step)])
-    rank = np.empty(pairs, dtype=np.intp)
-    rank[np.argsort(counts, kind="stable")] = np.arange(pairs)
-    out = np.empty((words, pairs), dtype=_WORD)
-    for lo in range(0, pairs, step):
-        out[:, rank[lo:lo + step]] = pack(differs(lo))
+        out[:, b] = packed.view(_WORD).T
     return out.T
 
 

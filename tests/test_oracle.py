@@ -78,6 +78,24 @@ def test_bfs_diameter():
         assert bfs_distances(GridGraph(m, n)).max() == 4, (m, n)
 
 
+class _CountedGraph(SimpleGraph):
+    def vertex_count(self) -> int:
+        return self.n
+
+
+def test_bfs_marks_unreachable_pairs():
+    # a path 0-1-2 beside an edge 3-4
+    d = bfs_distances(_CountedGraph(5, [(0, 1), (1, 2), (3, 4)]))
+    assert d.dtype == np.uint8
+    assert d.tolist() == [
+        [0, 1, 2, 255, 255],
+        [1, 0, 1, 255, 255],
+        [2, 1, 0, 255, 255],
+        [255, 255, 255, 0, 1],
+        [255, 255, 255, 1, 0],
+    ]
+
+
 def test_bfs_cap():
     with pytest.raises(BudgetError):
         bfs_distances(GridGraph(50, 50), cap=2000)
@@ -296,7 +314,7 @@ def test_pair_masks_layout():
     lambda total: arrays(np.uint8, (total, total), elements=st.integers(0, 4))),
     st.sampled_from([1, 50, 1000]))
 def test_pair_masks_blockwise_matches_one_block(dist, bools):
-    # tiny blocks force the two-pass path, with a partial last block
+    # tiny blocks split both passes, with a partial last block
     one_block = _pair_masks(dist)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_MASK_BOOLS", bools)
