@@ -6,17 +6,17 @@ on the right.  A cell landmark's copy is joined to its row relay and its
 column relay; a relay landmark's copy is joined to the relay itself.  The
 hub has no row or column, so landmark sets containing it are rejected.
 
-The graph is held as relay indices, not as vertex objects.  Relays are
-numbered 0..m+n-1, rows first, which is also their canonical order.  Each
-landmark records the row relay and the column relay it is joined to, and
-each relay its degree.  A cell landmark is then an edge between two relays
-and a relay landmark a pendant vertex on one, so :func:`classify_components`
+The graph is held as the relay footprint that
+:func:`stargrid.resolve.is_resolving` also reads, not as vertex objects.
+Relays are numbered 0..m+n-1, rows first, which is also their canonical
+order.  A relay landmark is a pendant vertex on its relay and a cell
+landmark an edge between its two relays, so :func:`classify_components`
 finds the components by union-find over the m + n relays.  Every edge has
 exactly one relay end, so a component's edge count is the sum of its relay
 degrees; it is a path exactly when it has one edge fewer than vertices and
 no relay of degree above 2 (primed copies have degree 1 or 2).  Building,
-classifying, auditing and :func:`check_relays_resolved` each take
-O(m + n + k) time for k landmarks.
+classifying, auditing and :func:`check_relays_resolved` (the verifier's
+relay rule) each take O(m + n + k) time for k landmarks.
 
 Minimum landmark sets leave a very rigid footprint here: components of a
 constructed tiled basis are exactly 5-vertex paths plus at most one single
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .grid import Cell, Col, GridGraph, Row, Vertex, vertex_name
-from .resolve import Verdict
+from .resolve import Verdict, _relay_footprint, _relay_verdict
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,23 +45,25 @@ class Primed:
 class AuxGraph:
     """Bipartite graph on primed landmarks (left) versus relays (right).
 
-    ``landmarks`` holds the landmarks in canonical order.  Landmark t is
-    joined to relay ``row_relay[t]`` and relay ``col_relay[t]``, each None
-    where it has no such neighbor; relay r (rows 0..m-1, then columns
-    m..m+n-1) has degree ``relay_degree[r]``.  The vertex-level views
-    (``left``, ``right``, ``edges``, ``vertices``, ``neighbors``,
-    ``degree``, ``is_adjacent``) are derived from these arrays on each
-    call.  Build instances with :func:`build_aux_graph`.
+    ``landmarks`` holds the landmarks in canonical order: the relay
+    landmarks, then the cell landmarks.  Relays are numbered rows 0..m-1,
+    then columns m..m+n-1.  ``relays`` holds the relay index of each relay
+    landmark, the pendant end of its one edge.  ``cells`` holds each cell
+    landmark as the (row relay, column relay) pair its two edges join, in
+    row-major order.  Relay r has degree ``relay_degree[r]``.  The
+    vertex-level views (``left``, ``right``, ``edges``, ``vertices``,
+    ``neighbors``, ``degree``, ``is_adjacent``) are derived from these on
+    each call.  Build instances with :func:`build_aux_graph`.
     """
 
     def __init__(self, g: GridGraph, landmarks: tuple[Vertex, ...], members: frozenset[int],
-                 row_relay: tuple[int | None, ...], col_relay: tuple[int | None, ...],
+                 relays: tuple[int, ...], cells: tuple[tuple[int, int], ...],
                  relay_degree: tuple[int, ...]):
         self.m = g.m
         self.n = g.n
         self.landmarks = landmarks
-        self.row_relay = row_relay
-        self.col_relay = col_relay
+        self.relays = relays
+        self.cells = cells
         self.relay_degree = relay_degree
         self._grid = g
         self._members = members  # canonical indices of the landmarks
@@ -80,14 +82,7 @@ class AuxGraph:
     def edges(self) -> tuple[tuple[Primed, Vertex], ...]:
         """(primed landmark, relay) pairs in landmark order, row end first."""
         right = self.right
-        out = []
-        for b, r, c in zip(self.landmarks, self.row_relay, self.col_relay):
-            p = Primed(b)
-            if r is not None:
-                out.append((p, right[r]))
-            if c is not None:
-                out.append((p, right[c]))
-        return tuple(out)
+        return tuple((Primed(b), right[r]) for b, ends in self._ends() for r in ends)
 
     def vertices(self) -> list:
         """Left part in landmark order, then relays (rows, then columns)."""
@@ -96,8 +91,7 @@ class AuxGraph:
     def neighbors(self, v) -> list:
         r = self._relay_index(v)
         if r is not None:
-            return [Primed(b) for b, x, y in zip(self.landmarks, self.row_relay, self.col_relay)
-                    if x == r or y == r]
+            return [Primed(b) for b, ends in self._ends() if r in ends]
         if isinstance(v, Primed) and self._is_landmark(v.base):
             b = v.base
             return [Row(b.i), Col(b.j)] if isinstance(b, Cell) else [b]
@@ -124,6 +118,10 @@ class AuxGraph:
         else:
             return False
         return hit and self._is_landmark(b)
+
+    def _ends(self):
+        """Each landmark, in landmark order, with the relays it is joined to."""
+        return zip(self.landmarks, [(r,) for r in self.relays] + list(self.cells))
 
     def _relay_index(self, v) -> int | None:
         if isinstance(v, Row) and 1 <= v.i <= self.m:
@@ -219,23 +217,9 @@ def build_aux_graph(g: GridGraph, landmarks) -> AuxGraph:
         seen.add(idx)
         keyed.append((idx, v))
     keyed.sort()  # indices are distinct, so vertices are never compared
-    row_relay: list[int | None] = []
-    col_relay: list[int | None] = []
-    degree = [0] * (m + n)
-    for idx, _ in keyed:
-        if idx <= m + n:  # relay landmark: relay index idx - 1
-            r = idx - 1
-            row_relay.append(r if r < m else None)
-            col_relay.append(r if r >= m else None)
-            degree[r] += 1
-        else:
-            i, j = divmod(idx - m - n - 1, n)
-            row_relay.append(i)
-            col_relay.append(m + j)
-            degree[i] += 1
-            degree[m + j] += 1
-    return AuxGraph(g, tuple(v for _, v in keyed), frozenset(seen), tuple(row_relay),
-                    tuple(col_relay), tuple(degree))
+    lm = tuple(v for _, v in keyed)
+    relays, cells, degree = _relay_footprint(m, n, lm)
+    return AuxGraph(g, lm, frozenset(seen), tuple(relays), tuple(cells), tuple(degree))
 
 
 def classify_components(aux: AuxGraph) -> ComponentReport:
@@ -256,16 +240,15 @@ def classify_components(aux: AuxGraph) -> ComponentReport:
             x = parent[x]
         return x
 
+    for r, c in aux.cells:
+        a, b = find(r), find(c)
+        if a != b:
+            parent[a] = b
     order = [0] * size
-    cells = 0
-    for r, c in zip(aux.row_relay, aux.col_relay):
-        if r is not None and c is not None:
-            cells += 1
-            a, b = find(r), find(c)
-            if a != b:
-                parent[a] = b
-    for r, c in zip(aux.row_relay, aux.col_relay):
-        order[find(c if r is None else r)] += 1
+    for r in aux.relays:
+        order[find(r)] += 1
+    for r, _ in aux.cells:
+        order[find(r)] += 1
     edges = [0] * size
     top = [0] * size
     for x in range(size):
@@ -286,7 +269,7 @@ def classify_components(aux: AuxGraph) -> ComponentReport:
             else:
                 non_path += 1
     path_orders.sort(reverse=True)
-    max_degree = max(max(degree), 2 if cells else 0)
+    max_degree = max(max(degree), 2 if aux.cells else 0)
     return ComponentReport(tuple(path_orders), non_path, isolated, max_degree)
 
 
@@ -297,27 +280,14 @@ def check_relays_resolved(aux: AuxGraph) -> Verdict:
     auxiliary graph; failures return the first colliding relay pair in
     relay order, as :func:`stargrid.resolve.is_adjacency_resolving` would
     over ``aux.right`` against ``aux.left``.  A relay's code is its set of
-    primed neighbors, and every primed landmark touches at most one row and
-    one column.  So two rows (or two columns) collide only when neither is
-    touched, and row a collides with column b only when neither is touched
-    or the cell landmark (a, b) alone touches both.  O(m + n + k).
+    primed neighbors, so two relays collide when both are untouched or when
+    a lone cell landmark alone touches both: the rule
+    :func:`stargrid.resolve.is_resolving` applies to metric codes, read
+    from the same footprint.  O(m + n + k).
     """
     if not aux.landmarks:
         raise InputError("landmark set must be nonempty")
-    degree = aux.relay_degree
-    untouched = [r for r, d in enumerate(degree) if not d]
-    pair = tuple(untouched[:2]) if len(untouched) > 1 else None
-    for r, c in zip(aux.row_relay, aux.col_relay):
-        # cells come in row-major order, so the first lone cell has the
-        # smallest row; it beats the untouched pair if its row comes first
-        if r is not None and c is not None and degree[r] == 1 and degree[c] == 1:
-            if pair is None or r < pair[0]:
-                pair = (r, c)
-            break
-    if pair is None:
-        return Verdict(True)
-    right = aux.right
-    return Verdict(False, (right[pair[0]], right[pair[1]]))
+    return _relay_verdict(aux._grid, aux.relay_degree, aux.cells)
 
 
 def structural_audit(aux: AuxGraph, strict_tiled: bool = False) -> AuditReport:
@@ -352,8 +322,7 @@ def structural_audit(aux: AuxGraph, strict_tiled: bool = False) -> AuditReport:
             violations.append(f"{leftovers} single edges + isolated vertices (at most 2)")
     # relay landmarks (degree 1) precede cell landmarks (degree 2) in
     # canonical order, which fixes the histogram's key order
-    cells = sum(1 for r, c in zip(aux.row_relay, aux.col_relay) if r is not None and c is not None)
-    left_hist = {d: k for d, k in ((1, len(aux.landmarks) - cells), (2, cells)) if k}
+    left_hist = {d: k for d, k in ((1, len(aux.relays)), (2, len(aux.cells))) if k}
     degree = aux.relay_degree
     right_hist = dict(Counter(degree))
     row_part, col_part = degree[:aux.m], degree[aux.m:]

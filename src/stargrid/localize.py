@@ -9,6 +9,7 @@ localization system has to distinguish "confidently wrong" from
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Iterator
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .grid import GridGraph, Vertex, coordinates, star_distance, vertex_name
-from .resolve import ResolvingSet, code_matrix, is_resolving
+from .resolve import ResolvingSet, _check_table_size, code_matrix, is_resolving
 
 _METRICS = ("hamming", "l1")
 
@@ -116,17 +117,23 @@ class CodeTable:
                 f"landmark set does not resolve grid ({g.m}, {g.n}): "
                 f"{vertex_name(x)} and {vertex_name(y)} share a code"
             )
+        _check_table_size(g, len(landmarks))
         self.graph = g
         self.landmarks = landmarks
-        self.matrix = code_matrix(g, landmarks.landmarks).astype(np.int16)
         self.min_pairwise_l1 = self._min_pairwise_l1()
 
     def __len__(self) -> int:
         return self.graph.vertex_count()
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """(N, k) int16 codes in canonical vertex order, built on first
+        read: only :func:`decode` and :meth:`code_of` need it."""
+        return code_matrix(self.graph, self.landmarks.landmarks).astype(np.int16)
+
     @property
     def code_length(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.landmarks)
 
     def code_of(self, v: Vertex) -> tuple[int, ...]:
         return tuple(int(x) for x in self.matrix[self.graph.index_of(v)])

@@ -8,10 +8,12 @@ graphs built in :mod:`stargrid.auxgraph`.
 
 Verification never builds codes.  Whether two vertices collide depends only
 on whether each is a landmark and on which rows and columns the landmarks
-touch (the relay neighbourhoods of the auxiliary graph), so
-:func:`is_resolving` decides it from per-row and per-column counts in
-O(m + n + k) time and memory.  Failed checks return a deterministic witness:
-the first colliding pair in canonical vertex order.
+touch, so :func:`is_resolving` decides it from the landmarks' relay
+footprint (their relay landmarks, their cell landmarks as row/column relay
+pairs, and each relay's degree: the auxiliary graph of
+:mod:`stargrid.auxgraph`) in O(m + n + k) time and memory.  Failed checks
+return a deterministic witness: the first colliding pair in canonical
+vertex order.
 """
 
 from __future__ import annotations
@@ -23,15 +25,17 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .grid import (
-    HUB, Cell, Col, GridGraph, Hub, Row, Vertex, coordinates, parse_vertex, star_distance,
+    HUB, Cell, GridGraph, Hub, Row, Vertex, coordinates, parse_vertex, star_distance,
 )
 
 MetricCode = tuple[int, ...]
 AdjacencyCode = tuple[int, ...]
 
-# The most cells :func:`code_matrix` allocates.  A code table holds its
-# matrix as uint8 and again as int16, about 3 bytes per cell, so this caps
-# one near 300 MB; the (300, 300) grid's basis table has 36 million cells.
+# The most cells :func:`code_matrix` allocates.  A code table's matrix is
+# built as uint8 and kept as int16, about 3 bytes per cell, so this caps one
+# near 300 MB; the (300, 300) grid's basis table has 36 million cells.  Code
+# tables refuse the same sizes before building their matrix, which also
+# bounds their m x n landmark-count array and the batch decoder's cost rows.
 MAX_TABLE_CELLS = 100_000_000
 
 
@@ -122,12 +126,7 @@ def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
     total = g.vertex_count()
     lm = tuple(landmarks)
     k = len(lm)
-    cells = total * k
-    if cells > MAX_TABLE_CELLS:
-        raise BudgetError(
-            f"distance table on ({m}, {n}) needs {total} x {k} = {cells} cells, "
-            f"limit is {MAX_TABLE_CELLS}"
-        )
+    _check_table_size(g, k)
     points = []
     for w in lm:
         g.validate(w)
@@ -142,6 +141,16 @@ def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
     np.add(rows[:, :1], cols[:, 1:], out=arr[:, 1 + m:1 + m + n])
     np.add(rows[:, 1:, None], cols[:, None, 1:], out=arr[:, 1 + m + n:].reshape(k, m, n))
     return arr.T
+
+
+def _check_table_size(g: GridGraph, k: int) -> None:
+    """Raise BudgetError when an (N, k) table exceeds ``MAX_TABLE_CELLS``."""
+    total = g.vertex_count()
+    if total * k > MAX_TABLE_CELLS:
+        raise BudgetError(
+            f"distance table on ({g.m}, {g.n}) needs {total} x {k} = {total * k} cells, "
+            f"limit is {MAX_TABLE_CELLS}"
+        )
 
 
 def full_distance_matrix(g: GridGraph) -> np.ndarray:
@@ -175,77 +184,86 @@ def is_resolving(g: GridGraph, W) -> Verdict:
     cell case implies a relay case (two untouched rows or columns, an
     untouched row and column, or a lone landmark cell at (i, j')), and
     relays precede cells in canonical order, so the first colliding pair is
-    found among the hub and the relays without scanning cells.
+    found among the hub and the relays without scanning cells.  Both
+    searches read only the relay footprint (see :func:`_relay_footprint`).
     """
     lm = _ordered_landmarks(g, W)
-    m, n = g.m, g.n
-    hub_in = False
-    row_in: set[int] = set()
-    col_in: set[int] = set()
-    cells: set[tuple[int, int]] = set()
-    row_cells = [0] * (m + 1)
-    col_cells = [0] * (n + 1)
     for w in lm:
         g.validate(w)
-        if isinstance(w, Hub):
-            hub_in = True
-        elif isinstance(w, Row):
-            row_in.add(w.i)
-        elif isinstance(w, Col):
-            col_in.add(w.j)
-        else:
-            cells.add((w.i, w.j))
-            row_cells[w.i] += 1
-            col_cells[w.j] += 1
-    pair = None
-    if not hub_in:
-        pair = _hub_partner(m, n, row_in, col_in, cells, row_cells, col_cells)
-    if pair is None:
-        pair = _relay_pair(m, n, row_in, col_in, cells, row_cells, col_cells)
-    return Verdict(True) if pair is None else Verdict(False, pair)
+    relays, cells, degree = _relay_footprint(g.m, g.n, lm)
+    if len(relays) + len(cells) == len(lm):  # the hub is no landmark
+        cell = _hub_partner(g.m, relays, cells, degree)
+        if cell is not None:
+            return Verdict(False, (HUB, cell))
+    return _relay_verdict(g, degree, cells)
 
 
-def _hub_partner(m, n, row_in, col_in, cells, row_cells, col_cells):
-    """(hub, first cell colliding with it), or None; the hub is no landmark.
+def _relay_footprint(m: int, n: int, landmarks: Iterable[Vertex]):
+    """(relay landmarks, cell landmarks, relay degrees) of validated
+    landmarks, in their order; the hub is skipped.
 
-    Cell (i, j) collides when it is no landmark, r_i and c_j cover the relay
-    landmarks and row_cells[i] + col_cells[j] counts every cell landmark.
-    Columns are bucketed by count, so each row scans only past its own
+    Relays are numbered rows 0..m-1, then columns m..m+n-1, so relay r has
+    canonical index r + 1.  A cell landmark is its (row relay, column
+    relay) pair, and a relay's degree counts the landmarks touching it:
+    itself and the cell landmarks in its row or column.
+    """
+    relays: list[int] = []
+    cells: list[tuple[int, int]] = []
+    degree = [0] * (m + n)
+    for w in landmarks:
+        if isinstance(w, Cell):
+            r, c = w.i - 1, m + w.j - 1
+            cells.append((r, c))
+            degree[r] += 1
+            degree[c] += 1
+        elif not isinstance(w, Hub):
+            r = w.i - 1 if isinstance(w, Row) else m + w.j - 1
+            relays.append(r)
+            degree[r] += 1
+    return relays, cells, degree
+
+
+def _hub_partner(m: int, relays, cells, degree) -> Cell | None:
+    """First cell sharing the hub's code, or None; the hub is no landmark.
+
+    That is a cell (i, j) that is no landmark while each landmark touches
+    relay r_i or c_j, and so none touches both: their degrees sum to the
+    landmark count.  So a row or column relay landmark must be r_i or c_j.
+    Columns are bucketed by degree, so each row scans only past its own
     landmark cells: O(m + n + k) in all.
     """
-    if len(row_in) > 1 or len(col_in) > 1:
-        return None
-    by_count: dict[int, list[int]] = {}
-    for j in sorted(col_in) or range(1, n + 1):
-        by_count.setdefault(col_cells[j], []).append(j)
-    for i in sorted(row_in) or range(1, m + 1):
-        for j in by_count.get(len(cells) - row_cells[i], ()):
-            if (i, j) not in cells:
-                return HUB, Cell(i, j)
+    k = len(relays) + len(cells)
+    by_degree: dict[int, list[int]] = {}
+    for c in [c for c in relays if c >= m] or range(m, len(degree)):
+        by_degree.setdefault(degree[c], []).append(c)
+    taken = set(cells)
+    for r in [r for r in relays if r < m] or range(m):
+        for c in by_degree.get(k - degree[r], ()):
+            if (r, c) not in taken:
+                return Cell(r + 1, c - m + 1)
     return None
 
 
-def _relay_pair(m, n, row_in, col_in, cells, row_cells, col_cells):
-    """First colliding pair of relays in canonical order, or None."""
-    lone_col = {i: j for i, j in cells if row_cells[i] == 1}
-    free_rows = [i for i in range(1, m + 1) if i not in row_in and not row_cells[i]]
-    free_cols = [j for j in range(1, n + 1) if j not in col_in and not col_cells[j]]
-    for i in range(1, m + 1):
-        if i in row_in:
-            continue
-        if not row_cells[i]:
-            # i is free_rows[0]: an earlier untouched row would have matched
-            if len(free_rows) > 1:
-                return Row(i), Row(free_rows[1])
-            if free_cols:
-                return Row(i), Col(free_cols[0])
-        elif row_cells[i] == 1:
-            j = lone_col[i]
-            if col_cells[j] == 1 and j not in col_in:
-                return Row(i), Col(j)
-    if len(free_cols) > 1:
-        return Col(free_cols[0]), Col(free_cols[1])
-    return None
+def _relay_verdict(g: GridGraph, degree, cells) -> Verdict:
+    """The verdict on the relays alone: the first pair of them, by relay
+    index, that no landmark tells apart.
+
+    Only a landmark touching neither relay, or the cell landmark joining
+    them, fails to tell two relays apart.  So they collide when both are
+    untouched, or when they are the relays of a lone cell: a cell landmark
+    whose row and column have degree 1.  A row holds at most one lone cell,
+    so the first pair is the first two untouched relays or the lone cell of
+    smallest row, whichever starts first.  ``cells`` may be in any order.
+    """
+    untouched = [r for r, d in enumerate(degree) if not d]
+    lone = min(((r, c) for r, c in cells if degree[r] == 1 and degree[c] == 1), default=None)
+    if lone is not None and (len(untouched) < 2 or lone[0] < untouched[0]):
+        pair = lone
+    elif len(untouched) > 1:
+        pair = untouched[:2]
+    else:
+        return Verdict(True)
+    return Verdict(False, (g.vertex_at(pair[0] + 1), g.vertex_at(pair[1] + 1)))
 
 
 def adjacency_code(host, v, S) -> AdjacencyCode:

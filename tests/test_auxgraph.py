@@ -1,8 +1,9 @@
+import itertools
 import json
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference import bfs_classify_components
@@ -22,9 +23,14 @@ from stargrid import (
     classify_components,
     dimension,
     is_adjacency_resolving,
+    is_resolving,
     iter_minimum_bases,
     structural_audit,
 )
+
+
+# Every grid with at most 20 vertices, both orientations.
+SMALL_GRIDS = [(m, n) for m in range(1, 10) for n in range(1, 10) if (m + 1) * (n + 1) <= 20]
 
 
 def _aux(m, n, landmarks):
@@ -216,6 +222,8 @@ def test_dot_export_golden():
         '  "p_a3,2" -- "c2";\n'
         '}\n'
     )
+    assert aux.neighbors(Row(2)) == [Primed(Row(2)), Primed(Cell(2, 2))]
+    assert aux.neighbors(Col(2)) == [Primed(Cell(2, 2)), Primed(Cell(3, 2))]
 
 
 def test_component_report_dict_mirrors_fields():
@@ -233,7 +241,6 @@ def test_component_report_dict_mirrors_fields():
 def test_random_resolving_supersets_keep_relays_resolved():
     # image of any resolving landmark set adjacency-resolves the relays
     rnd = random.Random(11)
-    from stargrid import is_resolving
     g = GridGraph(3, 4)
     pool = [v for v in g.vertices() if v != HUB]
     checked = 0
@@ -305,3 +312,46 @@ def _landmark_sets(draw):
 def test_drawn_sets_match_references(case):
     g, landmarks = case
     _assert_matches_references(build_aux_graph(g, landmarks))
+
+
+def _assert_relay_rule_agrees(g, landmarks):
+    """A relay pair that shares a metric code shares an adjacency code in
+    the auxiliary graph, and a set leaving two relays' adjacency codes
+    equal is not resolving."""
+    verdict = is_resolving(g, landmarks)
+    relays = check_relays_resolved(build_aux_graph(g, landmarks))
+    if not verdict and all(isinstance(v, (Row, Col)) for v in verdict.witness):
+        assert relays.witness == verdict.witness, landmarks
+    if not relays:
+        assert not verdict, landmarks
+
+
+@pytest.mark.parametrize("m, n", SMALL_GRIDS)
+def test_relay_rule_agrees_on_small_grids(m, n):
+    # every hub-free set on grids of at most 16 vertices; above that, the
+    # sets of at most 6 landmarks, which keeps the run near 10 s
+    g = GridGraph(m, n)
+    pool = g.vertices()[1:]
+    largest = len(pool) if len(pool) < 16 else 6
+    for k in range(1, largest + 1):
+        for landmarks in itertools.combinations(pool, k):
+            _assert_relay_rule_agrees(g, landmarks)
+
+
+@st.composite
+def _basis_edits(draw):
+    """A hub-free set near the resolving boundary of a grid up to 40 x 40:
+    part of its constructed basis plus other hub-free vertices."""
+    g = GridGraph(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    base = [g.index_of(v) for v in build_basis(g.m, g.n).landmarks]
+    kept = draw(st.sets(st.sampled_from(base)))
+    extra = draw(st.sets(st.integers(1, g.vertex_count() - 1), max_size=g.m + g.n))
+    picks = draw(st.permutations(sorted(kept | extra)))
+    assume(picks)
+    return g, [g.vertex_at(i) for i in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_basis_edits())
+def test_relay_rule_agrees_on_drawn_sets(case):
+    _assert_relay_rule_agrees(*case)

@@ -333,6 +333,34 @@ def test_decode_batch_chunks_agree(monkeypatch):
         assert decode_batch(probes, table, "l1") == whole, cells
 
 
+@pytest.mark.parametrize("m, n", [(5, 7), (30, 30)])
+def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
+    g = GridGraph(m, n)
+    basis = build_basis(m, n)
+    picks = list(range(0, g.vertex_count(), 97))
+    probes = code_matrix(g, basis.landmarks)[picks]
+
+    def refuse(*args):
+        raise RuntimeError("code matrix built")
+
+    monkeypatch.setattr(localize, "code_matrix", refuse)
+    table = code_table(g, basis)
+    assert table.code_length == len(basis)
+    assert simulate(g, basis, NoiseModel(0.05, seed=3), 200, "l1").trials == 200
+    assert [r.vertex for r in decode_batch(probes, table)] == [g.vertex_at(i) for i in picks]
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return code_matrix(*args)
+
+    monkeypatch.setattr(localize, "code_matrix", counting)
+    for i, probe in zip(picks, probes):
+        assert decode(probe, table, "l1").vertex == g.vertex_at(i)
+    assert len(calls) == 1
+
+
 def test_decode_accepts_numpy_integer_codes():
     g = GridGraph(4, 5)
     table = code_table(g, build_basis(4, 5))
