@@ -8,8 +8,6 @@ and a hop-count localization demo.
 """
 
 from .auxgraph import (
-    AuditReport,
-    AuxGraph,
     ComponentReport,
     Primed,
     aux_graph_to_dot,
@@ -18,7 +16,7 @@ from .auxgraph import (
     classify_components,
     structural_audit,
 )
-from .builder import Regime, TilingPlan, build_basis, dimension, regime_of, tiling_plan
+from .builder import build_basis, dimension, regime_of, tiling_plan
 from .errors import BudgetError, InputError
 from .grid import (
     HUB,
@@ -27,7 +25,6 @@ from .grid import (
     GridGraph,
     Hub,
     Row,
-    Vertex,
     parse_vertex,
     transpose,
     vertex_name,
@@ -36,7 +33,6 @@ from .localize import (
     CodeTable,
     DecodeResult,
     NoiseModel,
-    SimulationResult,
     code_table,
     decode,
     decode_batch,
@@ -54,8 +50,6 @@ from .oracle import (
     iter_minimum_bases,
 )
 from .resolve import (
-    AdjacencyCode,
-    MetricCode,
     ResolvingSet,
     Verdict,
     adjacency_code,
@@ -71,9 +65,6 @@ from .resolve import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditReport",
-    "AuxGraph",
-    "AdjacencyCode",
     "BudgetError",
     "Cell",
     "CodeTable",
@@ -85,18 +76,13 @@ __all__ = [
     "HUB",
     "Hub",
     "InputError",
-    "MetricCode",
     "NoiseModel",
     "Primed",
-    "Regime",
     "ResolvingSet",
     "Row",
     "SearchBudget",
     "SimpleGraph",
-    "SimulationResult",
-    "TilingPlan",
     "Verdict",
-    "Vertex",
     "aux_graph_to_dot",
     "bfs_distances",
     "brute_force_adjacency_dimension",

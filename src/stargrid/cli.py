@@ -112,10 +112,7 @@ def _cmd_hgraph(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = GridGraph(args.m, args.n)
-    budget = SearchBudget(
-        max_subset_size=args.max_subset_size,
-        max_candidates=args.max_candidates,
-    )
+    budget = SearchBudget(max_candidates=args.max_candidates)
     dim, witness = brute_force_dimension(g, budget)
     payload = {
         "m": args.m,
@@ -222,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force dimension search (small grids)")
     _add_grid_args(p)
     p.add_argument("--max-candidates", type=_positive, default=10_000_000)
-    p.add_argument("--max-subset-size", type=_positive, default=16)
     p.add_argument("--enumerate", action="store_true",
                    help="also list every minimum basis")
     p.set_defaults(func=_cmd_oracle)

@@ -1,6 +1,6 @@
 """Hop-count localization demo: code tables, nearest-code decoding, noise.
 
-A verified landmark set assigns every vertex a unique hop-count signature.
+A resolving landmark set assigns every vertex a unique hop-count signature.
 The sink can then identify a sender from a (possibly perturbed) signature
 by nearest-code lookup.  Ties are surfaced, never broken arbitrarily: a
 localization system has to distinguish "confidently wrong" from
@@ -13,13 +13,13 @@ import functools
 import hashlib
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .grid import GridGraph, Vertex, coordinates, star_distance, vertex_name
-from .resolve import ResolvingSet, _check_table_size, code_matrix, is_resolving
+from .resolve import _check_code_size, _ordered_landmarks, code_matrix, is_resolving
 
 _METRICS = ("hamming", "l1")
 
@@ -72,9 +72,18 @@ class DecodeResult:
 class CodeTable:
     """Ideal hop-count signature of every vertex for a fixed landmark set.
 
-    The landmarks are re-checked against this grid: a set verified on
-    another grid, or flagged ``verified`` by hand, is refused rather than
-    allowed to make decoding silently ambiguous.
+    The landmarks are a :class:`~stargrid.resolve.ResolvingSet` or any
+    vertex collection (a plain set is taken in canonical order).  They are
+    re-checked against this grid with :func:`~stargrid.resolve.is_resolving`,
+    whatever their ``verified`` flag says, and a set that does not resolve
+    it is refused rather than allowed to make decoding silently ambiguous.
+    Grids past ``MAX_TABLE_VERTICES`` vertices and sets past
+    ``MAX_CODE_LENGTH`` landmarks are refused with BudgetError (see
+    :mod:`stargrid.resolve`), as the table's own arrays take O(N + k)
+    memory.  Landmark w sits at the point (a[w], b[w]) (see
+    :func:`~stargrid.grid.coordinates`); codes are read from the star
+    distances of those points, and only :func:`decode` reads the N x k
+    ``matrix``.
 
     ``min_pairwise_l1`` is the smallest L1 distance between two codes,
     computed from landmark counts rather than by comparing codes.  Let r_a
@@ -107,19 +116,19 @@ class CodeTable:
     every pair of codes.
     """
 
-    def __init__(self, g: GridGraph, landmarks: ResolvingSet):
-        if not isinstance(landmarks, ResolvingSet) or not landmarks.verified:
-            raise InputError("code tables require a verified resolving set")
-        verdict = is_resolving(g, landmarks)
+    def __init__(self, g: GridGraph, landmarks):
+        lm = _ordered_landmarks(g, landmarks)
+        verdict = is_resolving(g, lm)
         if not verdict:
             x, y = verdict.witness
             raise InputError(
                 f"landmark set does not resolve grid ({g.m}, {g.n}): "
                 f"{vertex_name(x)} and {vertex_name(y)} share a code"
             )
-        _check_table_size(g, len(landmarks))
+        _check_code_size(g, len(lm))
         self.graph = g
-        self.landmarks = landmarks
+        self.landmarks = lm
+        self.a, self.b = np.array([coordinates(w) for w in lm], dtype=np.intp).T
         self.min_pairwise_l1 = self._min_pairwise_l1()
 
     def __len__(self) -> int:
@@ -127,21 +136,24 @@ class CodeTable:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """(N, k) int16 codes in canonical vertex order, built on first
-        read: only :func:`decode` and :meth:`code_of` need it."""
-        return code_matrix(self.graph, self.landmarks.landmarks).astype(np.int16)
+        """(N, k) int16 codes in canonical vertex order, built on the first
+        :func:`decode`; raises BudgetError past ``MAX_TABLE_CELLS``."""
+        return code_matrix(self.graph, self.landmarks).astype(np.int16)
 
     @property
     def code_length(self) -> int:
         return len(self.landmarks)
 
     def code_of(self, v: Vertex) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.matrix[self.graph.index_of(v)])
+        """v's code, from the star distances of its point."""
+        self.graph.validate(v)
+        x, y = coordinates(v)
+        return tuple((star_distance(x, self.a) + star_distance(y, self.b)).tolist())
 
     def _min_pairwise_l1(self) -> int:
         """Closed form from the case table in the class docstring."""
         m, n, k = self.graph.m, self.graph.n, len(self.landmarks)
-        x, y = np.array([coordinates(w) for w in self.landmarks], dtype=np.intp).T
+        x, y = self.a, self.b
         # r_a counts the landmarks with x = a, c_b those with y = b
         rows = np.bincount(x, minlength=m + 1)[1:]
         cols = np.bincount(y, minlength=n + 1)[1:]
@@ -155,9 +167,87 @@ class CodeTable:
                 best = min(best, 2 * int(np.partition(counts, 1)[:2].sum()))
         return best
 
+    def ideal(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (T, k) int8 codes of the vertices with canonical indices idx,
+        from the star distances of their points, and those points."""
+        x, y = _points(self.graph.m, self.graph.n, idx)
+        codes = star_distance(x[:, None], self.a) + star_distance(y[:, None], self.b)
+        return codes, x * (self.graph.n + 1) + y
 
-def code_table(g: GridGraph, landmarks: ResolvingSet) -> CodeTable:
-    """Build the signature table for a verified landmark set."""
+    @functools.cached_property
+    def _plan(self):
+        """The batch decode's star distances by class, and its line and
+        point sum plans (see :meth:`costs`), built on first use."""
+        m, n = self.graph.m, self.graph.n
+        a, b = self.a, self.b
+        k = a.shape[0]
+        on_x, on_y = a != 0, b != 0
+        # star distance from each landmark to x = 0, x = a and any other x
+        sx = np.stack([on_x, np.zeros(k, dtype=bool), 1 + on_x]).astype(np.int32)
+        sy = np.stack([on_y, np.zeros(k, dtype=bool), 1 + on_y]).astype(np.int32)
+        dist = (sx[:, None] + sy[None, :])[..., None]
+        # row terms land on x in 0..m, column terms on m + 1 + y
+        lines = np.full((3, 3, k), -1, dtype=np.intp)
+        lines[0, 2] = 0
+        lines[1, 2] = np.where(on_x, a, -1)
+        lines[2, 0] = m + 1
+        lines[2, 1] = np.where(on_y, m + 1 + b, -1)
+        xs = np.stack([np.zeros(k, dtype=np.intp), np.where(on_x, a, -1)])
+        ys = np.stack([np.zeros(k, dtype=np.intp), np.where(on_y, b, -1)])
+        points = np.full((3, 3, k), -1, dtype=np.intp)
+        points[:2, :2] = np.where((xs[:, None] < 0) | (ys[None, :] < 0), -1,
+                                  xs[:, None] * (n + 1) + ys[None, :])
+        return dist, _sum_plan(lines), _sum_plan(points)
+
+    def costs(self, probes: np.ndarray, metric: str) -> np.ndarray:
+        """(T, (m + 1)(n + 1)) int32 Hamming or L1 distances from each probe,
+        a row of nonnegative integers, to the code of every point, from row,
+        column and point terms, never from the N x k matrix.
+
+        Landmark w's distance to vertex (x, y) is s(x, a) + s(y, b).  The
+        star distance s(., a) takes one value at x = 0, one at x = a and a
+        generic one at every other x: classes 0, 1 and 2 (class 1 is empty
+        when a = 0).  So a probe entry's cost against w (a Hamming mismatch
+        or an L1 error) at a vertex whose x has class i and whose y has
+        class j is, with F[i, j] that cost,
+
+            F[2, 2] + (F[i, 2] - F[2, 2]) + (F[2, j] - F[2, 2]) + P[i, j],
+
+        where P[i, j] = F[i, j] - F[i, 2] - F[2, j] + F[2, 2] vanishes unless
+        i, j < 2, so it applies at the (up to 4) points {0, a} x {0, b}.
+        Summed over the landmarks, a probe's cost to every vertex is a
+        constant plus a row term R[x] plus a column term C[y] plus
+        corrections at no more than 4k points: O(N + k) per probe.  Costs
+        are laid out by point, x (n + 1) + y.  The plan's arrays are indexed
+        (class of x, class of y, landmark, probe), so that each numpy loop
+        runs over the probes of a chunk.
+        """
+        m, n = self.graph.m, self.graph.n
+        dist, line_plan, point_plan = self._plan
+        t = probes.shape[0]
+        q = probes.T.astype(np.int32)
+        if metric == "hamming":
+            f = (q != dist).astype(np.int32)
+        else:
+            f = np.abs(q - dist)
+        generic = f[2, 2].copy()
+        f -= generic
+        f[:2, :2] -= f[:2, 2:] + f[2:, :2]
+        flat = f.reshape(-1, t)
+        take, starts, targets = line_plan
+        lines = np.zeros((m + n + 2, t), dtype=np.int32)
+        lines[targets] = np.add.reduceat(flat[take], starts, axis=0, dtype=np.int32)
+        lines[:m + 1] += generic.sum(axis=0, dtype=np.int32)
+        lines = np.ascontiguousarray(lines.T)
+        out = lines[:, :m + 1, None] + lines[:, None, m + 1:]
+        out = out.reshape(t, -1)
+        take, starts, targets = point_plan
+        out[:, targets] += np.add.reduceat(flat[take], starts, axis=0, dtype=np.int32).T
+        return out
+
+
+def code_table(g: GridGraph, landmarks) -> CodeTable:
+    """Build the signature table for a landmark set that resolves g."""
     return CodeTable(g, landmarks)
 
 
@@ -168,9 +258,20 @@ def decode(code, table: CodeTable, metric: str = "hamming") -> DecodeResult:
     magnitude-structured perturbations.  A unique minimum decodes to that
     vertex; otherwise all tied vertices are reported.  Code entries must be
     Python or numpy integers from 0 to 32767 (the int16 range, as hop counts
-    are never negative), else it raises InputError.
+    are never negative), else it raises InputError.  It compares the probe
+    with every row of the table's N x k matrix, built on the first call, so
+    it raises BudgetError on a table past ``MAX_TABLE_CELLS``.
     """
-    best, hits = _nearest(code, table, metric)
+    _check_metric(metric)
+    arr = _hop_counts(tuple(code), 1, table.code_length)
+    # int32 sums of k int16 terms from 0 to 32767 are exact (k * 32767 <
+    # 2^31, see MAX_CODE_LENGTH), and faster than numpy's default int64
+    if metric == "hamming":
+        dists = (table.matrix != arr).sum(axis=1, dtype=np.int32)
+    else:
+        dists = np.abs(table.matrix - arr).sum(axis=1, dtype=np.int32)
+    best = int(dists.min())
+    hits = np.flatnonzero(dists == best)
     vertex_at = table.graph.vertex_at
     if hits.shape[0] == 1:
         return DecodeResult(vertex_at(int(hits[0])), best)
@@ -210,40 +311,25 @@ def _hop_counts(codes, ndim: int, width: int) -> np.ndarray:
     return arr
 
 
-def _nearest(code, table: CodeTable, metric: str) -> tuple[int, np.ndarray]:
-    """Smallest distance from the probe to a table code, and the canonical
-    indices of the vertices at that distance."""
-    _check_metric(metric)
-    arr = _hop_counts(tuple(code), 1, table.code_length)
-    # int32 sums of at most 10^4 int16 terms (k <= N, N k <= MAX_TABLE_CELLS)
-    # are exact, and faster than numpy's default int64
-    if metric == "hamming":
-        dists = (table.matrix != arr).sum(axis=1, dtype=np.int32)
-    else:
-        dists = np.abs(table.matrix - arr).sum(axis=1, dtype=np.int32)
-    best = int(dists.min())
-    return best, np.flatnonzero(dists == best)
-
-
 def decode_batch(probes, table: CodeTable, metric: str = "hamming") -> list[DecodeResult]:
     """``[decode(p, table, metric) for p in probes]``, ties included.
 
     Decodes structurally, from row, column and point terms of the landmarks'
-    star distances (see ``_BatchDecoder``): O(N + k) per probe, in chunks
-    of probes, without reading the table's N x k matrix.  ``probes`` is a
-    sequence of codes or a (T, k) integer array; entries are checked as in
-    :func:`decode`.
+    star distances (see :meth:`CodeTable.costs`): O(N + k) per probe, in
+    chunks of probes, without reading the table's N x k matrix, so it runs
+    on any table.  ``probes`` is a sequence of codes or a (T, k) integer
+    array; entries are checked as in :func:`decode`.
     """
     _check_metric(metric)
     if len(probes) == 0:
         return []
     arr = _hop_counts(probes, 2, table.code_length)
-    decoder = _BatchDecoder(table)
     g = table.graph
     m, n = g.m, g.n
+    chunk = max(1, _CHUNK_CELLS // len(table))
     out: list[DecodeResult] = []
-    for lo in range(0, arr.shape[0], decoder.chunk):
-        costs = decoder.costs(arr[lo:lo + decoder.chunk], metric)
+    for lo in range(0, arr.shape[0], chunk):
+        costs = table.costs(arr[lo:lo + chunk], metric)
         best, dist, tied = _nearest_batch(costs)
         first = _canonical(m, n, best // (n + 1), best % (n + 1)).tolist()
         for row, i, d, tie in zip(costs, first, dist.tolist(), tied.tolist()):
@@ -284,92 +370,6 @@ def _sum_plan(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return take, starts, keys[starts]
 
 
-class _BatchDecoder:
-    """Probe-to-vertex costs of a batch of probes from row, column and point
-    terms, never from an N x k table.
-
-    Landmark w sits at the point (a, b) (see :mod:`stargrid.grid`), and its
-    distance to vertex (x, y) is s(x, a) + s(y, b).  The star distance
-    s(., a) takes one value at x = 0, one at x = a and a generic one at
-    every other x: classes 0, 1 and 2 (class 1 is empty when a = 0).  So a
-    probe entry's cost against w (a Hamming mismatch or an L1 error) at a
-    vertex whose x has class i and whose y has class j is, with F[i, j] that
-    cost,
-
-        F[2, 2] + (F[i, 2] - F[2, 2]) + (F[2, j] - F[2, 2]) + P[i, j],
-
-    where P[i, j] = F[i, j] - F[i, 2] - F[2, j] + F[2, 2] vanishes unless
-    i, j < 2, so it applies at the (up to 4) points {0, a} x {0, b}.  Summed over
-    the landmarks, a probe's cost to every vertex is a constant plus a row
-    term R[x] plus a column term C[y] plus corrections at no more than 4k
-    points: O(N + k) per probe.  Costs are laid out by point, x (n + 1) + y.
-
-    The per-landmark arrays are built per call, so that code tables cost
-    nothing more for callers that never batch.  They are indexed (class of
-    x, class of y, landmark, probe), so that each numpy loop runs over the
-    probes of a chunk.
-    """
-
-    def __init__(self, table: CodeTable):
-        g = table.graph
-        m, n = g.m, g.n
-        self.graph = g
-        self.chunk = max(1, _CHUNK_CELLS // g.vertex_count())
-        a, b = np.array([coordinates(w) for w in table.landmarks], dtype=np.intp).T
-        self.a, self.b = a, b
-        k = a.shape[0]
-        on_x, on_y = a != 0, b != 0
-        # star distance from each landmark to x = 0, x = a and any other x
-        sx = np.stack([on_x, np.zeros(k, dtype=bool), 1 + on_x]).astype(np.int32)
-        sy = np.stack([on_y, np.zeros(k, dtype=bool), 1 + on_y]).astype(np.int32)
-        self.dist = (sx[:, None] + sy[None, :])[..., None]
-        # row terms land on x in 0..m, column terms on m + 1 + y
-        lines = np.full((3, 3, k), -1, dtype=np.intp)
-        lines[0, 2] = 0
-        lines[1, 2] = np.where(on_x, a, -1)
-        lines[2, 0] = m + 1
-        lines[2, 1] = np.where(on_y, m + 1 + b, -1)
-        self.lines = _sum_plan(lines)
-        xs = np.stack([np.zeros(k, dtype=np.intp), np.where(on_x, a, -1)])
-        ys = np.stack([np.zeros(k, dtype=np.intp), np.where(on_y, b, -1)])
-        points = np.full((3, 3, k), -1, dtype=np.intp)
-        points[:2, :2] = np.where((xs[:, None] < 0) | (ys[None, :] < 0), -1,
-                                  xs[:, None] * (n + 1) + ys[None, :])
-        self.points = _sum_plan(points)
-
-    def ideal(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (T, k) int8 codes of the vertices with canonical indices idx,
-        from the star distances of their points, and those points."""
-        x, y = _points(self.graph.m, self.graph.n, idx)
-        codes = star_distance(x[:, None], self.a) + star_distance(y[:, None], self.b)
-        return codes, x * (self.graph.n + 1) + y
-
-    def costs(self, probes: np.ndarray, metric: str) -> np.ndarray:
-        """(T, (m + 1)(n + 1)) int32 Hamming or L1 distances from each probe,
-        a row of nonnegative integers, to the code of every point."""
-        m, n = self.graph.m, self.graph.n
-        t = probes.shape[0]
-        q = probes.T.astype(np.int32)
-        if metric == "hamming":
-            f = (q != self.dist).astype(np.int32)
-        else:
-            f = np.abs(q - self.dist)
-        generic = f[2, 2].copy()
-        f -= generic
-        f[:2, :2] -= f[:2, 2:] + f[2:, :2]
-        flat = f.reshape(-1, t)
-        take, starts, targets = self.lines
-        lines = np.zeros((m + n + 2, t), dtype=np.int32)
-        lines[targets] = np.add.reduceat(flat[take], starts, axis=0, dtype=np.int32)
-        lines[:m + 1] += generic.sum(axis=0, dtype=np.int32)
-        lines = np.ascontiguousarray(lines.T)
-        out = lines[:, :m + 1, None] + lines[:, None, m + 1:]
-        out = out.reshape(t, -1)
-        take, starts, targets = self.points
-        out[:, targets] += np.add.reduceat(flat[take], starts, axis=0, dtype=np.int32).T
-        return out
-
-
 def _nearest_batch(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of costs: the first minimum's index, the minimum, and whether
     another entry ties it.  Overwrites each first minimum with the int32
@@ -397,18 +397,7 @@ class SimulationResult:
     min_pairwise_l1: int
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "basis_size": self.basis_size,
-            "metric": self.metric,
-            "p": self.p,
-            "trials": self.trials,
-            "seed": self.seed,
-            "misidentification_rate": self.misidentification_rate,
-            "ambiguity_rate": self.ambiguity_rate,
-            "min_pairwise_l1": self.min_pairwise_l1,
-        }
+        return asdict(self)
 
 
 def _noise_key(seed: int) -> int:
@@ -434,24 +423,24 @@ def _hop_noise(key: int, first: int, count: int, k: int, p: float) -> np.ndarray
 
 
 def _noisy_codes(
-    decoder: _BatchDecoder, noise: NoiseModel, first_trial: int, trials: int
+    table: CodeTable, noise: NoiseModel, first_trial: int, trials: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Chunks of (the point of each trial's vertex, its noisy code)."""
-    total = decoder.graph.vertex_count()
-    k = decoder.a.shape[0]
+    total = len(table)
+    chunk = max(1, _CHUNK_CELLS // total)
     key = _noise_key(noise.seed)
     p = noise.flip_probability
-    for lo in range(first_trial, first_trial + trials, decoder.chunk):
-        count = min(decoder.chunk, first_trial + trials - lo)
-        codes, points = decoder.ideal((lo % total + np.arange(count)) % total)
+    for lo in range(first_trial, first_trial + trials, chunk):
+        count = min(chunk, first_trial + trials - lo)
+        codes, points = table.ideal((lo % total + np.arange(count)) % total)
         if p > 0.0:
-            codes = np.maximum(codes + _hop_noise(key, lo, count, k, p), 0)
+            codes = np.maximum(codes + _hop_noise(key, lo, count, table.code_length, p), 0)
         yield points, codes
 
 
 def simulate(
     g: GridGraph,
-    landmarks: ResolvingSet,
+    landmarks,
     noise: NoiseModel,
     trials: int,
     metric: str = "hamming",
@@ -466,9 +455,8 @@ def simulate(
     Trials run in chunks: each chunk draws its noise in one pass over a
     (trials, k) counter array and decodes with the structural batch decode
     of :func:`decode_batch`, whose results equal :func:`decode`'s.  Ideal
-    codes come from the star distances of the trial vertices' points, not
-    from the code table, which is built to check the landmarks and to report
-    ``min_pairwise_l1``.
+    codes come from the star distances of the trial vertices' points
+    (:meth:`CodeTable.ideal`), so the table's N x k matrix is never built.
 
     Bit-reproducible for a fixed seed: a trial's noise is keyed by (seed,
     trial index) alone (see :class:`NoiseModel`), so a run over [0, trials)
@@ -481,17 +469,16 @@ def simulate(
         raise InputError("first_trial must be >= 0")
     _check_metric(metric)
     table = code_table(g, landmarks)
-    decoder = _BatchDecoder(table)
     wrong = 0
     ties = 0
-    for truth, codes in _noisy_codes(decoder, noise, first_trial, trials):
-        best, _, tied = _nearest_batch(decoder.costs(codes, metric))
+    for truth, codes in _noisy_codes(table, noise, first_trial, trials):
+        best, _, tied = _nearest_batch(table.costs(codes, metric))
         ties += int(np.count_nonzero(tied))
         wrong += int(np.count_nonzero(~tied & (best != truth)))
     return SimulationResult(
         m=g.m,
         n=g.n,
-        basis_size=len(landmarks),
+        basis_size=table.code_length,
         metric=metric,
         p=noise.flip_probability,
         trials=trials,

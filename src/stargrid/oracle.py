@@ -49,7 +49,6 @@ class SearchBudget:
     call may enumerate, estimated before each level starts.
     """
 
-    max_subset_size: int = 16
     max_candidates: int = 10_000_000
 
 
@@ -98,12 +97,16 @@ class SimpleGraph:
     def neighbors(self, v: int) -> list[int]:
         return sorted(self._adj[v])
 
+    def index_of(self, v: int) -> int:
+        return v
+
     def is_adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
 
 def bfs_distances(g: GridGraph, cap: int = 2000) -> np.ndarray:
-    """All-pairs hop counts by BFS over ``g.neighbors`` only.
+    """All-pairs hop counts by BFS over ``g.neighbors`` only, each neighbour
+    numbered by ``g.index_of``.
 
     Returns an (N, N) uint8 table in canonical vertex order.  Refuses
     graphs with more than ``cap`` vertices.  Every source searches at once:
@@ -118,10 +121,8 @@ def bfs_distances(g: GridGraph, cap: int = 2000) -> np.ndarray:
     total = g.vertex_count()
     if total > cap:
         raise BudgetError(f"grid has {total} vertices, BFS cap is {cap}")
-    verts = g.vertices()
-    index = dict(zip(verts, range(total)))
-    lists = list(map(g.neighbors, verts))
-    flat = np.array([index[w] for w in itertools.chain.from_iterable(lists)], dtype=np.intp)
+    lists = list(map(g.neighbors, g.vertices()))
+    flat = np.array(list(map(g.index_of, itertools.chain.from_iterable(lists))), dtype=np.intp)
     starts = np.array([0, *itertools.accumulate(map(len, lists[:-1]))])
     unreached = ~np.eye(total, dtype=bool)
     table = np.zeros((total, total), dtype=np.uint8)
@@ -289,18 +290,17 @@ class _SubsetScan:
 def _smallest_resolving(total: int, pair_masks, budget: SearchBudget,
                         context: str) -> tuple[int, ...]:
     """Lexicographically first resolving subset of ``range(total)`` at the
-    smallest size that has one, searching sizes in ascending order."""
+    smallest size that has one, searching sizes in ascending order.  All of
+    ``range(total)`` resolves, so the search ends by size ``total``."""
     scan = _SubsetScan(range(total), pair_masks)
     planned = 0
-    for k in range(1, min(total, budget.max_subset_size) + 1):
+    for k in range(1, total + 1):
         planned += comb(total, k)
         _gate(budget, planned, f"{context} at size {k}")
         combo = next(scan.resolving(k), None)
         if combo is not None:
             return combo
-    raise BudgetError(
-        f"{context} found no resolving set of size <= {budget.max_subset_size}"
-    )
+    raise InputError(f"{context} needs a host with at least one vertex")
 
 
 def brute_force_dimension(

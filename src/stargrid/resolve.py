@@ -28,15 +28,21 @@ from .grid import (
     HUB, Cell, GridGraph, Hub, Row, Vertex, coordinates, parse_vertex, star_distance,
 )
 
-MetricCode = tuple[int, ...]
-AdjacencyCode = tuple[int, ...]
-
 # The most cells :func:`code_matrix` allocates.  A code table's matrix is
 # built as uint8 and kept as int16, about 3 bytes per cell, so this caps one
-# near 300 MB; the (300, 300) grid's basis table has 36 million cells.  Code
-# tables refuse the same sizes before building their matrix, which also
-# bounds their m x n landmark-count array and the batch decoder's cost rows.
+# near 300 MB; the (300, 300) grid's basis table has 36 million cells.  Only
+# :func:`~stargrid.localize.decode` reads a table's matrix, so only it
+# refuses past this cap.
 MAX_TABLE_CELLS = 100_000_000
+
+# The most vertices and landmarks a code table takes (see
+# :func:`_check_code_size`).  Without its matrix a table holds about 8 bytes
+# per vertex, most of them an int64 landmark-count sum over the m x n cells,
+# and a batch decode's cost row takes 4, so this caps a table near 80 MB.
+# A probe's distance to a code is an int32 sum of k entries from 0 to 32767,
+# exact while k * 32767 < 2^31.
+MAX_TABLE_VERTICES = 10_000_000
+MAX_CODE_LENGTH = (2**31 - 1) // 32767
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ def _ordered_landmarks(g: GridGraph | None, W) -> tuple[Vertex, ...]:
     return lm
 
 
-def metric_code(g: GridGraph, v: Vertex, W) -> MetricCode:
+def metric_code(g: GridGraph, v: Vertex, W) -> tuple[int, ...]:
     """Hop distances from v to each landmark, in landmark order."""
     lm = _ordered_landmarks(g, W)
     return tuple(g.distance(v, w) for w in lm)
@@ -126,7 +132,11 @@ def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
     total = g.vertex_count()
     lm = tuple(landmarks)
     k = len(lm)
-    _check_table_size(g, k)
+    if total * k > MAX_TABLE_CELLS:
+        raise BudgetError(
+            f"distance table on ({m}, {n}) needs {total} x {k} = {total * k} cells, "
+            f"limit is {MAX_TABLE_CELLS}"
+        )
     points = []
     for w in lm:
         g.validate(w)
@@ -143,14 +153,15 @@ def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
     return arr.T
 
 
-def _check_table_size(g: GridGraph, k: int) -> None:
-    """Raise BudgetError when an (N, k) table exceeds ``MAX_TABLE_CELLS``."""
-    total = g.vertex_count()
-    if total * k > MAX_TABLE_CELLS:
-        raise BudgetError(
-            f"distance table on ({g.m}, {g.n}) needs {total} x {k} = {total * k} cells, "
-            f"limit is {MAX_TABLE_CELLS}"
-        )
+def _check_code_size(g: GridGraph, k: int) -> None:
+    """Raise BudgetError when a code table on g with k landmarks would pass
+    ``MAX_TABLE_VERTICES`` or ``MAX_CODE_LENGTH``."""
+    for value, what, limit in ((g.vertex_count(), "vertices", MAX_TABLE_VERTICES),
+                               (k, "landmarks", MAX_CODE_LENGTH)):
+        if value > limit:
+            raise BudgetError(
+                f"code table on ({g.m}, {g.n}) has {value} {what}, limit is {limit}"
+            )
 
 
 def full_distance_matrix(g: GridGraph) -> np.ndarray:
@@ -266,7 +277,7 @@ def _relay_verdict(g: GridGraph, degree, cells) -> Verdict:
     return Verdict(False, (g.vertex_at(pair[0] + 1), g.vertex_at(pair[1] + 1)))
 
 
-def adjacency_code(host, v, S) -> AdjacencyCode:
+def adjacency_code(host, v, S) -> tuple[int, ...]:
     """Distance-truncated-at-2 code of v against the ordered landmarks S.
 
     Works on any host exposing ``is_adjacent`` (grid graphs, auxiliary
@@ -291,7 +302,7 @@ def is_adjacency_resolving(host, U: Iterable, S) -> Verdict:
         raise InputError("landmark set must be nonempty")
     position = {v: i for i, v in enumerate(host.vertices())}
     members = sorted(U, key=position.__getitem__)
-    first_seen: dict[AdjacencyCode, int] = {}
+    first_seen: dict[tuple[int, ...], int] = {}
     best: tuple[int, int] | None = None
     for idx, v in enumerate(members):
         code = adjacency_code(host, v, lm)

@@ -36,7 +36,7 @@ from stargrid import (
 )
 from stargrid.cli import main as cli_main
 
-ORACLE_BUDGET = SearchBudget(max_subset_size=16, max_candidates=100_000_000)
+ORACLE_BUDGET = SearchBudget(max_candidates=100_000_000)
 
 # Instances whose full lower-bound scan fits in 10^7 candidates.
 ORACLE_INSTANCES = [

@@ -176,8 +176,7 @@ def test_oracle_refuses_large_grid_in_bounded_memory(capsys):
     assert peak < 2 * table, (peak, table)
 
 
-@pytest.mark.parametrize("flag, value", [("--max-candidates", "-5"),
-                                         ("--max-subset-size", "-1")])
+@pytest.mark.parametrize("flag, value", [("--max-candidates", "-5")])
 def test_oracle_rejects_negative_budget(capsys, flag, value):
     code, _, err = run_cli(capsys, "oracle", "--m", "2", "--n", "2", flag, value)
     assert code == 2
@@ -305,16 +304,31 @@ def test_localize_large_grid_finishes(capsys):
     assert payload["basis_size"] == 400
 
 
-def test_localize_oversized_grid_exits_3(capsys):
-    # the (1000, 1000) code table would need about 4 GB; the size guard
-    # refuses it before allocating
+def test_localize_1000_grid_runs_without_its_code_matrix(capsys):
+    # the (1000, 1000) code matrix would take about 4 GB; simulate reads the
+    # landmarks' star distances instead, about 8 bytes per vertex
+    tracemalloc.start()
+    try:
+        code = main(["localize", "--m", "1000", "--n", "1000", "--trials", "200",
+                     "--noise", "0.05"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["basis_size"] == dimension(1000, 1000)
+    assert payload["trials"] == 200 and payload["min_pairwise_l1"] == 2
+    assert peak < 16_000_000, peak
+
+
+def test_localize_past_table_limit_exits_3(capsys):
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "localize", "--m", "1000", "--n", "1000",
+    code, out, err = run_cli(capsys, "localize", "--m", "3200", "--n", "3200",
                              "--trials", "1")
     assert code == 3
     assert out == ""
-    assert "limit is 100000000" in err
-    assert time.perf_counter() - start < 10
+    assert "has 10246401 vertices, limit is 10000000" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_localize_invalid_probability(capsys):

@@ -10,6 +10,7 @@ from reference import brute_force_decode, pairwise_min_l1
 
 from stargrid import (
     HUB,
+    BudgetError,
     Cell,
     Col,
     GridGraph,
@@ -42,13 +43,36 @@ def test_code_table_four_cycle():
     assert table.min_pairwise_l1 >= 1
 
 
-def test_code_table_requires_verified_set():
+def test_code_table_checks_the_set_not_its_verified_flag():
+    # {a1,1, a1,2} resolves (2, 2): taken unflagged and as a plain list
     g = GridGraph(2, 2)
-    unverified = ResolvingSet((Cell(1, 1), Cell(1, 2)))
-    with pytest.raises(InputError):
-        code_table(g, unverified)
-    with pytest.raises(InputError):
-        code_table(g, [Cell(1, 1), Cell(1, 2)])
+    landmarks = (Cell(1, 1), Cell(1, 2))
+    for given in (ResolvingSet(landmarks), list(landmarks)):
+        table = code_table(g, given)
+        assert table.landmarks == landmarks
+        assert table.min_pairwise_l1 == pairwise_min_l1(g, landmarks)
+    with pytest.raises(InputError, match="hub and a1,2 share a code"):
+        code_table(g, [Cell(1, 1)])
+
+
+def test_code_table_set_input_matches_its_canonical_resolving_set():
+    g = GridGraph(6, 9)
+    landmarks = list(build_basis(6, 9).landmarks) + [HUB, Row(2), Col(9)]
+    canonical = ResolvingSet(tuple(sorted(landmarks, key=g.index_of)))
+    for given in (set(landmarks), frozenset(landmarks)):
+        table, want = code_table(g, given), code_table(g, canonical)
+        assert table.landmarks == want.landmarks
+        assert table.min_pairwise_l1 == want.min_pairwise_l1
+        assert np.array_equal(table.matrix, want.matrix)
+        assert [table.code_of(v) for v in g.vertices()] == [want.code_of(v) for v in g.vertices()]
+
+
+def test_code_table_refuses_long_codes():
+    # every vertex of (300, 300) resolves it, but 90,601 landmarks would
+    # overflow the int32 distance sums
+    g = GridGraph(300, 300)
+    with pytest.raises(BudgetError, match="has 90601 landmarks, limit is 65538"):
+        code_table(g, g.vertices())
 
 
 def test_code_table_rechecks_basis_against_its_grid():
@@ -66,6 +90,27 @@ def test_code_table_rejects_forged_verified_flag():
 def test_min_pairwise_l1_balanced_grid():
     table = code_table(GridGraph(5, 7), build_basis(5, 7))
     assert table.min_pairwise_l1 == 2
+
+
+def _assert_codes_are_matrix_rows(g, landmarks):
+    table = code_table(g, landmarks)
+    rows = code_matrix(g, tuple(landmarks)).tolist()
+    assert [table.code_of(v) for v in g.vertices()] == [tuple(r) for r in rows], landmarks
+
+
+@pytest.mark.parametrize("m,n", SMALL_GRIDS)
+def test_code_of_matches_code_matrix_on_every_small_resolving_set(m, n):
+    g = GridGraph(m, n)
+    for k in range(1, 5):
+        for subset in itertools.combinations(g.vertices(), k):
+            if is_resolving(g, subset):
+                _assert_codes_are_matrix_rows(g, subset)
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_code_of_matches_code_matrix_on_constructed_bases(m):
+    for n in range(1, 31):
+        _assert_codes_are_matrix_rows(GridGraph(m, n), build_basis(m, n).landmarks)
 
 
 def _table_l1(g, landmarks):
@@ -346,6 +391,7 @@ def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
     monkeypatch.setattr(localize, "code_matrix", refuse)
     table = code_table(g, basis)
     assert table.code_length == len(basis)
+    assert [table.code_of(g.vertex_at(i)) for i in picks] == [tuple(p) for p in probes.tolist()]
     assert simulate(g, basis, NoiseModel(0.05, seed=3), 200, "l1").trials == 200
     assert [r.vertex for r in decode_batch(probes, table)] == [g.vertex_at(i) for i in picks]
 
@@ -359,6 +405,17 @@ def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
     for i, probe in zip(picks, probes):
         assert decode(probe, table, "l1").vertex == g.vertex_at(i)
     assert len(calls) == 1
+
+
+def test_decode_refuses_an_oversized_matrix():
+    # the table takes (1000, 1000); its matrix, 1,001,001 x 1,333 cells, does
+    # not, and only decode reads the matrix
+    g = GridGraph(1000, 1000)
+    table = code_table(g, build_basis(1000, 1000))
+    code = table.code_of(Cell(7, 9))
+    with pytest.raises(BudgetError, match="limit is 100000000"):
+        decode(code, table)
+    assert decode_batch([code], table) == [localize.DecodeResult(Cell(7, 9), 0)]
 
 
 def test_decode_accepts_numpy_integer_codes():
@@ -453,8 +510,8 @@ def test_simulate_validates_trials():
 
 def _drawn(g, landmarks, noise, first_trial, trials):
     """Every (point, noisy code) pair simulate decodes for these trials."""
-    decoder = localize._BatchDecoder(code_table(g, landmarks))
-    points, codes = zip(*localize._noisy_codes(decoder, noise, first_trial, trials))
+    table = code_table(g, landmarks)
+    points, codes = zip(*localize._noisy_codes(table, noise, first_trial, trials))
     return np.concatenate(points), np.concatenate(codes)
 
 

@@ -146,8 +146,13 @@ def test_brute_force_budget_refusal():
     g = GridGraph(10, 10)
     with pytest.raises(BudgetError):
         brute_force_dimension(g, SearchBudget(max_candidates=100_000))
-    with pytest.raises(BudgetError):
-        brute_force_dimension(GridGraph(2, 2), SearchBudget(max_subset_size=1))
+
+
+def test_adjacency_dimension_refuses_empty_host():
+    # every vertex together resolves, so only a host without vertices can
+    # end the ascending search without a hit
+    with pytest.raises(InputError, match="at least one vertex"):
+        brute_force_adjacency_dimension(SimpleGraph(0, []))
 
 
 def test_refusals_run_no_bfs(monkeypatch):
