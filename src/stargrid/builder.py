@@ -29,9 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .grid import Cell, Col, GridGraph, Row, Vertex, transpose
+from .errors import BudgetError, InputError
+from .grid import Cell, Col, GridGraph, Row, Vertex, check_sides, transpose
 from .resolve import ResolvingSet, is_resolving
+
+# The most landmarks :func:`build_basis` constructs.  Building and verifying
+# a basis peaks near 0.34 KB per landmark (traced at (300000, 300000): its
+# vertices, their tuples and the verifier's relay footprint), so this keeps
+# one under 1 GB: square grids up to sides of about 1.9 million.
+MAX_BASIS_LANDMARKS = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -65,15 +71,9 @@ class TilingPlan:
         return 2 * (self.row_pair_tiles + self.col_pair_tiles) + len(self.singles)
 
 
-def _check_positive(m: int, n: int) -> None:
-    sides_are_ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (m, n))
-    if not sides_are_ints or m < 1 or n < 1:
-        raise InputError(f"grid dimensions must be integers >= 1, got ({m}, {n})")
-
-
 def regime_of(m: int, n: int) -> Regime:
     """Classify (m, n); exactly one regime matches after normalization."""
-    _check_positive(m, n)
+    check_sides(m, n)
     swapped = m > n
     if swapped:
         m, n = n, m
@@ -95,7 +95,7 @@ def dimension(m: int, n: int) -> int:
     other single-row grids need n for n <= 4 and n - 1 beyond; thin grids
     need n - 1; balanced grids need n + (2m - n) // 3.
     """
-    _check_positive(m, n)
+    check_sides(m, n)
     if m > n:
         m, n = n, m
     if m == 1:
@@ -143,30 +143,32 @@ def build_basis(m: int, n: int) -> ResolvingSet:
     postcondition: the constructed set is re-checked for code injectivity
     over every vertex before being handed back.  The check reads only which
     rows and columns the landmarks touch, so it adds O(m + n) time and
-    memory, and no (m n)-sized array is ever built.
+    memory, and no (m n)-sized array is ever built.  A basis past
+    ``MAX_BASIS_LANDMARKS`` landmarks is refused with BudgetError before
+    any is built.
     """
-    _check_positive(m, n)
+    want = dimension(m, n)
+    if want > MAX_BASIS_LANDMARKS:
+        raise BudgetError(
+            f"basis of ({m}, {n}) has {want} landmarks, limit is {MAX_BASIS_LANDMARKS}"
+        )
     reg = regime_of(m, n)
     mm, nn = (n, m) if reg.normalized else (m, n)
-    landmarks = _construct(mm, nn, reg.tag)
+    landmarks = tuple(_construct(mm, nn, reg.tag))
     if reg.normalized:
-        landmarks = [transpose(v) for v in landmarks]
-    g = GridGraph(m, n)
-    want = dimension(m, n)
+        landmarks = tuple(map(transpose, landmarks))
     if len(landmarks) != want:
         raise RuntimeError(
             f"internal error: constructed {len(landmarks)} landmarks for ({m}, {n}), "
             f"expected {want}"
         )
-    candidate = ResolvingSet(tuple(landmarks), verified=False,
-                             provenance=f"constructed-regime-{reg.tag}")
-    verdict = is_resolving(g, candidate)
+    verdict = is_resolving(GridGraph(m, n), landmarks)
     if not verdict:
         raise RuntimeError(
             f"internal error: constructed set for ({m}, {n}) fails to resolve, "
             f"witness {verdict.witness}"
         )
-    return ResolvingSet(candidate.landmarks, verified=True, provenance=candidate.provenance)
+    return ResolvingSet._distinct(landmarks, True, f"constructed-regime-{reg.tag}")
 
 
 def _construct(m: int, n: int, tag: str) -> list[Vertex]:

@@ -18,7 +18,7 @@ from .errors import BudgetError, InputError
 from .grid import GridGraph, vertex_name
 from .localize import NoiseModel, simulate
 from .oracle import SearchBudget, brute_force_dimension, enumerate_minimum_bases
-from .resolve import is_resolving, parse_landmark_lines
+from .resolve import _check_code_size, is_resolving, parse_landmark_lines
 
 # The most edges `export` builds.  It holds every edge as Python objects
 # before printing; at (200, 200) its peak was about 225 bytes per edge for
@@ -149,6 +149,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_localize(args) -> int:
     g = GridGraph(args.m, args.n)
+    # refuse an oversized table before building its basis
+    _check_code_size(g, dimension(args.m, args.n))
     basis = build_basis(args.m, args.n)
     noise = NoiseModel(flip_probability=args.noise, seed=args.seed)
     result = simulate(g, basis, noise, args.trials, metric=args.metric)

@@ -136,6 +136,13 @@ def star_distance(x, y):
     return differ << ((x != 0) & (y != 0))
 
 
+def check_sides(m: int, n: int) -> None:
+    """Raise InputError unless the grid sides m and n are ints (not bools) >= 1."""
+    sides_are_ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (m, n))
+    if not sides_are_ints or m < 1 or n < 1:
+        raise InputError(f"grid dimensions must be integers >= 1, got ({m}, {n})")
+
+
 @dataclass(frozen=True, slots=True)
 class GridGraph:
     """The double-star grid with m row relays and n column relays.
@@ -150,10 +157,7 @@ class GridGraph:
     n: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (self.m, self.n)):
-            raise InputError("grid dimensions must be integers")
-        if self.m < 1 or self.n < 1:
-            raise InputError(f"grid dimensions must be >= 1, got ({self.m}, {self.n})")
+        check_sides(self.m, self.n)
 
     def vertex_count(self) -> int:
         return 1 + self.m + self.n + self.m * self.n

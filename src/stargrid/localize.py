@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .grid import GridGraph, Vertex, coordinates, star_distance, vertex_name
-from .resolve import _check_code_size, _ordered_landmarks, code_matrix, is_resolving
+from .resolve import _check_code_size, _ordered_landmarks, _verdict, code_matrix
 
 _METRICS = ("hamming", "l1")
 
@@ -77,8 +77,8 @@ class CodeTable:
     re-checked against this grid with :func:`~stargrid.resolve.is_resolving`,
     whatever their ``verified`` flag says, and a set that does not resolve
     it is refused rather than allowed to make decoding silently ambiguous.
-    Grids past ``MAX_TABLE_VERTICES`` vertices and sets past
-    ``MAX_CODE_LENGTH`` landmarks are refused with BudgetError (see
+    Before that check, grids past ``MAX_TABLE_VERTICES`` vertices and sets
+    past ``MAX_CODE_LENGTH`` landmarks are refused with BudgetError (see
     :mod:`stargrid.resolve`), as the table's own arrays take O(N + k)
     memory.  Landmark w sits at the point (a[w], b[w]) (see
     :func:`~stargrid.grid.coordinates`); codes are read from the star
@@ -118,14 +118,14 @@ class CodeTable:
 
     def __init__(self, g: GridGraph, landmarks):
         lm = _ordered_landmarks(g, landmarks)
-        verdict = is_resolving(g, lm)
+        _check_code_size(g, len(lm))
+        verdict = _verdict(g, lm)
         if not verdict:
             x, y = verdict.witness
             raise InputError(
                 f"landmark set does not resolve grid ({g.m}, {g.n}): "
                 f"{vertex_name(x)} and {vertex_name(y)} share a code"
             )
-        _check_code_size(g, len(lm))
         self.graph = g
         self.landmarks = lm
         self.a, self.b = np.array([coordinates(w) for w in lm], dtype=np.intp).T

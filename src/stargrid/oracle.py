@@ -20,9 +20,10 @@ candidates.  On one 2.0 GHz Xeon core, enumerating all 27 million
 (5, 6) dimension search, which first rules out the 6.2 million smaller
 subsets, about 0.5 s.  Budgets are enforced up front: a level of the search
 is never started unless its full candidate count fits, and a single-size
-search is refused before its distance table is built, so a call either
-completes or fails fast with :class:`~stargrid.errors.BudgetError` -- it
-never returns a wrong answer.
+search is refused before its distance table is built; the distance and
+pair-mask tables refuse sizes past their own limits before allocating.  So
+a call either completes or fails fast with
+:class:`~stargrid.errors.BudgetError` -- it never returns a wrong answer.
 
 Enumeration order is a deterministic contract: for a fixed instance the
 reported dimension, witness, and basis list are identical run to run.
@@ -66,6 +67,14 @@ _ELEMENTS = 1 << 15
 # small keep its temporaries in cache.
 _MASK_BOOLS = 1 << 18
 
+# The most vertices :func:`bfs_distances` takes; on a grid, its (N, N)
+# table and its per-level temporaries then stay near 25 MB.
+MAX_BFS_VERTICES = 2000
+# The most bytes :func:`_pair_masks` allocates for its table.  It admits
+# the (30, 30) grid's 56 MiB table (961 vertices); the pass that builds it
+# peaks near 1.5 times this.
+MAX_PAIR_MASK_BYTES = 64 << 20
+
 
 class SimpleGraph:
     """Minimal adjacency-list host for the adjacency-dimension search."""
@@ -91,6 +100,9 @@ class SimpleGraph:
     def star(cls, leaves: int) -> "SimpleGraph":
         return cls(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
+    def vertex_count(self) -> int:
+        return self.n
+
     def vertices(self) -> list[int]:
         return list(range(self.n))
 
@@ -104,24 +116,26 @@ class SimpleGraph:
         return v in self._adj[u]
 
 
-def bfs_distances(g: GridGraph, cap: int = 2000) -> np.ndarray:
+def bfs_distances(g: GridGraph) -> np.ndarray:
     """All-pairs hop counts by BFS over ``g.neighbors`` only, each neighbour
     numbered by ``g.index_of``.
 
     Returns an (N, N) uint8 table in canonical vertex order.  Refuses
-    graphs with more than ``cap`` vertices.  Every source searches at once:
-    row s of a boolean table holds the vertices not yet reached from s, and
-    a vertex stays unreached one more level if it and every vertex on its
-    neighbour list were unreached (one ``reduceat`` over the lists laid end
-    to end).  A pair's distance is the number of levels at which it was
-    unreached, and 255 marks a pair that is never reached.  No list may be
-    empty, and no grid vertex's is.  The search stops once every pair is
-    reached, so a grid of diameter d takes d levels.
+    hosts with more than ``MAX_BFS_VERTICES`` vertices, from
+    ``g.vertex_count()`` alone.  Every source searches at once: row s of a
+    boolean table holds the vertices not yet reached from s, and a vertex
+    stays unreached one more level if it and every vertex on its neighbour
+    list were unreached (one ``reduceat`` over the lists laid end to end).
+    A pair's distance is the number of levels at which it was unreached,
+    and 255 marks a pair that is never reached.  An isolated vertex lists
+    itself, as ``reduceat`` takes no empty list, so it stays unreached from
+    every other source.  The search stops once every pair is reached, so a
+    grid of diameter d takes d levels.
     """
     total = g.vertex_count()
-    if total > cap:
-        raise BudgetError(f"grid has {total} vertices, BFS cap is {cap}")
-    lists = list(map(g.neighbors, g.vertices()))
+    if total > MAX_BFS_VERTICES:
+        raise BudgetError(f"grid has {total} vertices, BFS cap is {MAX_BFS_VERTICES}")
+    lists = [g.neighbors(v) or [v] for v in g.vertices()]
     flat = np.array(list(map(g.index_of, itertools.chain.from_iterable(lists))), dtype=np.intp)
     starts = np.array([0, *itertools.accumulate(map(len, lists[:-1]))])
     unreached = ~np.eye(total, dtype=bool)
@@ -152,12 +166,18 @@ def _pair_masks(dist: np.ndarray) -> np.ndarray:
     Pairs are compared in blocks of about ``_MASK_BOOLS`` booleans, twice:
     first for the resolver counts that fix the pairs' order, then in that
     order for the masks, each block written straight to its place, so the
-    peak stays near one output.
+    peak stays near one output.  An output past ``MAX_PAIR_MASK_BYTES`` is
+    refused with BudgetError before anything is allocated.
     """
     total = dist.shape[0]
     words = -(-total // 64)
+    pairs = total * (total - 1) // 2
+    size = pairs * words * _WORD.itemsize
+    if size > MAX_PAIR_MASK_BYTES:
+        raise BudgetError(
+            f"pair masks of {total} vertices need {size} bytes, limit is {MAX_PAIR_MASK_BYTES}"
+        )
     xs, ys = np.triu_indices(total, 1)
-    pairs = len(xs)
     step = max(1, _MASK_BOOLS // max(1, total))
     blocks = [slice(lo, lo + step) for lo in range(0, pairs, step)]
     counts = np.empty(pairs, dtype=np.uint32)
@@ -316,12 +336,10 @@ def brute_force_dimension(
     combo = _smallest_resolving(
         g.vertex_count(), pair_masks, budget, f"dimension search on ({g.m}, {g.n})"
     )
-    witness = ResolvingSet(
-        tuple(g.vertex_at(i) for i in combo), verified=False, provenance="oracle"
-    )
+    witness = tuple(map(g.vertex_at, combo))
     if not is_resolving(g, witness):
         raise RuntimeError("internal error: oracle witness fails is_resolving")
-    return len(combo), ResolvingSet(witness.landmarks, verified=True, provenance="oracle")
+    return len(combo), ResolvingSet._distinct(witness, True, "oracle")
 
 
 def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET):

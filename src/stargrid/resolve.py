@@ -77,9 +77,9 @@ class ResolvingSet:
     @classmethod
     def _distinct(cls, landmarks: tuple[Vertex, ...], verified: bool,
                   provenance: str) -> "ResolvingSet":
-        """Build without the duplicate check, for landmarks distinct by
-        construction, such as the oracle's strictly increasing index tuples;
-        the check costs more than the rest of the construction."""
+        """Build without the duplicate check, for landmarks known distinct:
+        the oracle's strictly increasing index tuples, or a tuple that
+        :func:`is_resolving` has just accepted."""
         self = object.__new__(cls)
         self.__dict__.update(landmarks=landmarks, verified=verified, provenance=provenance)
         return self
@@ -91,24 +91,23 @@ class ResolvingSet:
         return iter(self.landmarks)
 
 
-def _ordered_landmarks(g: GridGraph | None, W) -> tuple[Vertex, ...]:
+def _ordered_landmarks(g: GridGraph, W) -> tuple[Vertex, ...]:
     """Normalize a landmark collection to a nonempty ordered tuple.
 
     Ordered inputs keep their order; plain sets/frozensets are sorted
-    canonically so downstream output is deterministic.
+    canonically so downstream output is deterministic.  Duplicates are
+    refused; a ResolvingSet's constructor has refused them already.
     """
     if isinstance(W, ResolvingSet):
         lm = W.landmarks
     elif isinstance(W, (set, frozenset)):
-        if g is None:
-            raise InputError("unordered landmark set needs a graph for canonical order")
         lm = tuple(sorted(W, key=g.index_of))
     else:
         lm = tuple(W)
+        if len(set(lm)) != len(lm):
+            raise InputError("duplicate landmarks")
     if not lm:
         raise InputError("landmark set must be nonempty")
-    if len(set(lm)) != len(lm):
-        raise InputError("duplicate landmarks")
     return lm
 
 
@@ -198,7 +197,11 @@ def is_resolving(g: GridGraph, W) -> Verdict:
     found among the hub and the relays without scanning cells.  Both
     searches read only the relay footprint (see :func:`_relay_footprint`).
     """
-    lm = _ordered_landmarks(g, W)
+    return _verdict(g, _ordered_landmarks(g, W))
+
+
+def _verdict(g: GridGraph, lm: tuple[Vertex, ...]) -> Verdict:
+    """:func:`is_resolving` on landmarks :func:`_ordered_landmarks` returned."""
     for w in lm:
         g.validate(w)
     relays, cells, degree = _relay_footprint(g.m, g.n, lm)

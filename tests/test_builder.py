@@ -1,6 +1,7 @@
 import pytest
 
 from stargrid import (
+    BudgetError,
     Cell,
     Col,
     GridGraph,
@@ -15,6 +16,7 @@ from stargrid import (
     regime_of,
     tiling_plan,
 )
+from stargrid import builder
 
 
 @pytest.mark.parametrize("m,n,want", [
@@ -151,6 +153,27 @@ def test_build_basis_swapped_inputs_map_back():
 def test_build_basis_rejects_bad_input():
     with pytest.raises(InputError):
         build_basis(0, 1)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0])
+@pytest.mark.parametrize("take_sides", [GridGraph, dimension, regime_of, tiling_plan, build_basis],
+                         ids=lambda f: f.__name__)
+def test_bad_grid_sides_get_one_message(take_sides, bad):
+    for m, n in [(bad, 5), (5, bad)]:
+        with pytest.raises(InputError) as exc:
+            take_sides(m, n)
+        assert str(exc.value) == f"grid dimensions must be integers >= 1, got ({m}, {n})"
+
+
+def test_build_basis_refuses_past_its_landmark_limit(monkeypatch):
+    # the refusal reads dimension(m, n) alone, before anything is built
+    monkeypatch.setattr(builder, "MAX_BASIS_LANDMARKS", 5)
+    assert len(build_basis(4, 4)) == 5
+    with pytest.raises(BudgetError, match=r"basis of \(5, 4\) has 6 landmarks, limit is 5"):
+        build_basis(5, 4)
+    monkeypatch.setattr(builder, "_construct", None)
+    with pytest.raises(BudgetError):
+        build_basis(4, 5)
 
 
 def test_boundary_double_rows_matches_paired_pattern():

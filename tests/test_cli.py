@@ -176,6 +176,17 @@ def test_oracle_refuses_large_grid_in_bounded_memory(capsys):
     assert peak < 2 * table, (peak, table)
 
 
+def test_oracle_refuses_oversized_pair_masks_fast(capsys):
+    # (43, 43) has 1936 vertices, under the BFS cap, but its pair masks
+    # would take 464 MB; the refusal comes before they are allocated
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--m", "43", "--n", "43")
+    assert code == 3
+    assert out == ""
+    assert "464523840 bytes, limit is 67108864" in err
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("flag, value", [("--max-candidates", "-5")])
 def test_oracle_rejects_negative_budget(capsys, flag, value):
     code, _, err = run_cli(capsys, "oracle", "--m", "2", "--n", "2", flag, value)
@@ -328,6 +339,20 @@ def test_localize_past_table_limit_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "has 10246401 vertices, limit is 10000000" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("basis",), "basis of (100000000, 100000000) has 133333333 landmarks, limit is 2500000"),
+    (("localize", "--trials", "1"),
+     "code table on (100000000, 100000000) has 10000000200000001 vertices, limit is 10000000"),
+])
+def test_oversized_basis_refused_before_it_is_built(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--m", "100000000", "--n", "100000000")
+    assert code == 3
+    assert out == ""
+    assert message in err
     assert time.perf_counter() - start < 1
 
 

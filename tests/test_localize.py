@@ -75,6 +75,12 @@ def test_code_table_refuses_long_codes():
         code_table(g, g.vertices())
 
 
+def test_code_table_refuses_its_size_before_checking_the_set():
+    # {a1,1} resolves no grid this large; the O(1) size check speaks first
+    with pytest.raises(BudgetError, match="has 10246401 vertices, limit is 10000000"):
+        code_table(GridGraph(3200, 3200), [Cell(1, 1)])
+
+
 def test_code_table_rechecks_basis_against_its_grid():
     # verified on (5,7), but 8 landmarks cannot resolve (6,8), whose dimension is 9
     with pytest.raises(InputError, match=r"does not resolve grid \(6, 8\)"):

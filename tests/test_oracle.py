@@ -78,14 +78,9 @@ def test_bfs_diameter():
         assert bfs_distances(GridGraph(m, n)).max() == 4, (m, n)
 
 
-class _CountedGraph(SimpleGraph):
-    def vertex_count(self) -> int:
-        return self.n
-
-
 def test_bfs_marks_unreachable_pairs():
     # a path 0-1-2 beside an edge 3-4
-    d = bfs_distances(_CountedGraph(5, [(0, 1), (1, 2), (3, 4)]))
+    d = bfs_distances(SimpleGraph(5, [(0, 1), (1, 2), (3, 4)]))
     assert d.dtype == np.uint8
     assert d.tolist() == [
         [0, 1, 2, 255, 255],
@@ -96,10 +91,30 @@ def test_bfs_marks_unreachable_pairs():
     ]
 
 
-def test_bfs_cap():
-    with pytest.raises(BudgetError):
-        bfs_distances(GridGraph(50, 50), cap=2000)
-    bfs_distances(GridGraph(10, 10), cap=200)  # 121 vertices, fits
+@pytest.mark.parametrize("order, edges", [
+    (3, [(1, 2)]),  # isolated vertex first
+    (3, [(0, 2)]),  # in the middle
+    (3, [(0, 1)]),  # last
+    (6, [(1, 2), (2, 3)]),  # first, and the last two
+    (1, []),
+    (3, []),
+])
+def test_bfs_isolated_vertices_match_python_reference(order, edges):
+    g = SimpleGraph(order, edges)
+    got, want = bfs_distances(g), python_bfs_distances(g)
+    assert got.dtype == want.dtype == np.uint8
+    assert np.array_equal(got, want), got
+    isolated = [v for v in g.vertices() if not g.neighbors(v)]
+    assert all(got[v, w] == 255 for v in isolated for w in g.vertices() if w != v)
+
+
+def test_bfs_cap(monkeypatch):
+    with pytest.raises(BudgetError, match="has 2601 vertices, BFS cap is 2000"):
+        bfs_distances(GridGraph(50, 50))
+    monkeypatch.setattr(oracle, "MAX_BFS_VERTICES", 121)
+    bfs_distances(GridGraph(10, 10))  # 121 vertices, fits
+    with pytest.raises(BudgetError, match="has 122 vertices, BFS cap is 121"):
+        bfs_distances(SimpleGraph.path(122))
 
 
 def test_brute_force_dimension_examples():
@@ -158,7 +173,7 @@ def test_adjacency_dimension_refuses_empty_host():
 def test_refusals_run_no_bfs(monkeypatch):
     # the gate needs only N and k, so an over-budget call refuses before
     # paying for the distance table
-    def no_bfs(g, cap=2000):
+    def no_bfs(g):
         raise RuntimeError("BFS ran before the budget gate")
 
     monkeypatch.setattr(oracle, "bfs_distances", no_bfs)
@@ -176,8 +191,9 @@ def test_enumerated_bases_equal_checked_sets(m, n):
     g = GridGraph(m, n)
     bases = enumerate_minimum_bases(g, dimension(m, n))
     assert bases
-    for b in bases:
-        checked = ResolvingSet(b.landmarks, verified=True, provenance="oracle")
+    # so do the dimension search's witness and the constructed basis
+    for b in [*bases, brute_force_dimension(g)[1], build_basis(m, n)]:
+        checked = ResolvingSet(b.landmarks, verified=True, provenance=b.provenance)
         assert b == checked and hash(b) == hash(checked), b
         assert len(set(b.landmarks)) == len(b.landmarks)
 
@@ -327,6 +343,19 @@ def test_pair_masks_blockwise_matches_one_block(dist, bools):
     assert blockwise.shape == one_block.shape and blockwise.dtype == one_block.dtype
     assert blockwise.tobytes() == one_block.tobytes()
     assert _as_ints(one_block) == list(int_pair_masks(dist))
+
+
+def test_pair_masks_refuse_before_allocating():
+    # the (43, 43) grid's 1936 vertices: 1,873,080 pairs of 31 words
+    dist = np.zeros((1936, 1936), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="need 464523840 bytes, limit is 67108864"):
+            _pair_masks(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_pair_masks_memory():
