@@ -16,7 +16,9 @@ exactly one relay end, so a component's edge count is the sum of its relay
 degrees; it is a path exactly when it has one edge fewer than vertices and
 no relay of degree above 2 (primed copies have degree 1 or 2).  Building,
 classifying, auditing and :func:`check_relays_resolved` (the verifier's
-relay rule) each take O(m + n + k) time for k landmarks.
+relay rule) each take O(m + n + k) time for k landmarks.  The component
+report is computed once per graph, on its first request, and kept:
+:func:`classify_components` and :func:`structural_audit` both read it.
 
 Minimum landmark sets leave a very rigid footprint here: components of a
 constructed tiled basis are exactly 5-vertex paths plus at most one single
@@ -27,6 +29,7 @@ any sensible basis must satisfy.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -53,7 +56,8 @@ class AuxGraph:
     row-major order.  Relay r has degree ``relay_degree[r]``.  The
     vertex-level views (``left``, ``right``, ``edges``, ``vertices``,
     ``neighbors``, ``degree``, ``is_adjacent``) are derived from these on
-    each call.  Build instances with :func:`build_aux_graph`.
+    each call; ``components`` is derived once and kept.  Build instances
+    with :func:`build_aux_graph`.
     """
 
     def __init__(self, g: GridGraph, landmarks: tuple[Vertex, ...], members: frozenset[int],
@@ -118,6 +122,59 @@ class AuxGraph:
         else:
             return False
         return hit and self._is_landmark(b)
+
+    @functools.cached_property
+    def components(self) -> ComponentReport:
+        """The component footprint, computed on first request.
+
+        Union-find over the relays, with each cell landmark as an edge
+        between its two relays; relay landmarks hang off their relay.  Each
+        component's vertex count, edge count and largest relay degree are
+        tallied at its root, and decide whether it is a path.  The fields
+        it reads are never reassigned after :func:`build_aux_graph`, so the
+        kept report cannot go stale.
+        """
+        size = self.m + self.n
+        degree = self.relay_degree
+        parent = list(range(size))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for r, c in self.cells:
+            a, b = find(r), find(c)
+            if a != b:
+                parent[a] = b
+        order = [0] * size
+        for r in self.relays:
+            order[find(r)] += 1
+        for r, _ in self.cells:
+            order[find(r)] += 1
+        edges = [0] * size
+        top = [0] * size
+        for x in range(size):
+            d = degree[x]
+            if d:
+                root = find(x)
+                order[root] += 1
+                edges[root] += d
+                if d > top[root]:
+                    top[root] = d
+        isolated = degree.count(0)
+        path_orders = [1] * isolated
+        non_path = 0
+        for x in range(size):
+            if edges[x]:
+                if top[x] <= 2 and edges[x] == order[x] - 1:
+                    path_orders.append(order[x])
+                else:
+                    non_path += 1
+        path_orders.sort(reverse=True)
+        max_degree = max(max(degree), 2 if self.cells else 0)
+        return ComponentReport(tuple(path_orders), non_path, isolated, max_degree)
 
     def _ends(self):
         """Each landmark, in landmark order, with the relays it is joined to."""
@@ -225,52 +282,11 @@ def build_aux_graph(g: GridGraph, landmarks) -> AuxGraph:
 def classify_components(aux: AuxGraph) -> ComponentReport:
     """Connected components, labeled path (with order) or non-path.
 
-    Union-find over the relays, with each cell landmark as an edge between
-    its two relays; relay landmarks hang off their relay.  Each component's
-    vertex count, edge count and largest relay degree are tallied at its
-    root, and decide whether it is a path.
+    Reads ``aux.components``, which is computed on the graph's first
+    request and kept, so a later :func:`structural_audit` of the same graph
+    reuses it.
     """
-    size = aux.m + aux.n
-    degree = aux.relay_degree
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r, c in aux.cells:
-        a, b = find(r), find(c)
-        if a != b:
-            parent[a] = b
-    order = [0] * size
-    for r in aux.relays:
-        order[find(r)] += 1
-    for r, _ in aux.cells:
-        order[find(r)] += 1
-    edges = [0] * size
-    top = [0] * size
-    for x in range(size):
-        d = degree[x]
-        if d:
-            root = find(x)
-            order[root] += 1
-            edges[root] += d
-            if d > top[root]:
-                top[root] = d
-    isolated = degree.count(0)
-    path_orders = [1] * isolated
-    non_path = 0
-    for x in range(size):
-        if edges[x]:
-            if top[x] <= 2 and edges[x] == order[x] - 1:
-                path_orders.append(order[x])
-            else:
-                non_path += 1
-    path_orders.sort(reverse=True)
-    max_degree = max(max(degree), 2 if aux.cells else 0)
-    return ComponentReport(tuple(path_orders), non_path, isolated, max_degree)
+    return aux.components
 
 
 def check_relays_resolved(aux: AuxGraph) -> Verdict:
@@ -298,7 +314,7 @@ def structural_audit(aux: AuxGraph, strict_tiled: bool = False) -> AuditReport:
     5-paths, single edges, and isolated vertices may appear, and single
     edges plus isolated vertices number at most two.
     """
-    report = classify_components(aux)
+    report = aux.components
     violations: list[str] = []
     max_one_isolated = report.isolated_right <= 1
     if not max_one_isolated:
@@ -350,7 +366,7 @@ def structural_audit(aux: AuxGraph, strict_tiled: bool = False) -> AuditReport:
 def aux_graph_to_dot(aux: AuxGraph) -> str:
     """DOT rendering; primed landmarks are named "p_<vertex>"."""
     lines = ["graph aux {"]
-    lines.append(f'  graph [m={aux.m}, n={aux.n}, basis_size={len(aux.left)}];')
+    lines.append(f'  graph [m={aux.m}, n={aux.n}, basis_size={len(aux.landmarks)}];')
     for v in aux.left:
         lines.append(f'  "p_{vertex_name(v.base)}";')
     for v in aux.right:

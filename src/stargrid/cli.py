@@ -3,11 +3,18 @@
 Exit codes: 0 success, 1 verification answered "no", 2 usage or input
 error, 3 search budget exceeded.  Data goes to stdout (or --out for
 sweeps); diagnostics go to stderr.
+
+The argument parser is built on the first :func:`main` call and reused by
+every later call in the process, so each subcommand's handler is bound
+once, at that first build.  Parsing reads nothing from earlier calls: each
+call gets a fresh namespace filled from the defaults.  Importing this
+module builds no parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -189,6 +196,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stargrid",

@@ -20,10 +20,14 @@ candidates.  On one 2.0 GHz Xeon core, enumerating all 27 million
 (5, 6) dimension search, which first rules out the 6.2 million smaller
 subsets, about 0.5 s.  Budgets are enforced up front: a level of the search
 is never started unless its full candidate count fits, and a single-size
-search is refused before its distance table is built; the distance and
-pair-mask tables refuse sizes past their own limits before allocating.  So
-a call either completes or fails fast with
-:class:`~stargrid.errors.BudgetError` -- it never returns a wrong answer.
+search is refused before its distance table is built.  The ascending
+searches start at a pigeonhole bound read from the distance table (no
+smaller subset can resolve) and gate that first size before the pair masks
+are built, so a search whose smallest possible size is over budget is
+refused after the distance table alone.  The distance and pair-mask tables
+refuse sizes past their own limits before allocating.  So a call either
+completes or fails fast with :class:`~stargrid.errors.BudgetError` -- it
+never returns a wrong answer.
 
 Enumeration order is a deterministic contract: for a fixed instance the
 reported dimension, witness, and basis list are identical run to run.
@@ -152,6 +156,15 @@ def bfs_distances(g: GridGraph) -> np.ndarray:
     return table
 
 
+def _check_pair_mask_size(total: int) -> None:
+    """Refuse pair masks of ``total`` vertices past ``MAX_PAIR_MASK_BYTES``."""
+    size = total * (total - 1) // 2 * -(-total // 64) * _WORD.itemsize
+    if size > MAX_PAIR_MASK_BYTES:
+        raise BudgetError(
+            f"pair masks of {total} vertices need {size} bytes, limit is {MAX_PAIR_MASK_BYTES}"
+        )
+
+
 def _pair_masks(dist: np.ndarray) -> np.ndarray:
     """One bitmask per vertex pair: which vertices tell the pair apart.
 
@@ -172,11 +185,7 @@ def _pair_masks(dist: np.ndarray) -> np.ndarray:
     total = dist.shape[0]
     words = -(-total // 64)
     pairs = total * (total - 1) // 2
-    size = pairs * words * _WORD.itemsize
-    if size > MAX_PAIR_MASK_BYTES:
-        raise BudgetError(
-            f"pair masks of {total} vertices need {size} bytes, limit is {MAX_PAIR_MASK_BYTES}"
-        )
+    _check_pair_mask_size(total)
     xs, ys = np.triu_indices(total, 1)
     step = max(1, _MASK_BOOLS // max(1, total))
     blocks = [slice(lo, lo + step) for lo in range(0, pairs, step)]
@@ -307,14 +316,36 @@ class _SubsetScan:
             yield np.concatenate(parts, axis=1), pair_masks
 
 
-def _smallest_resolving(total: int, pair_masks, budget: SearchBudget,
+def _fewest_landmarks(total: int, top: int) -> int:
+    """The smallest k >= 1 with ``total - k <= top ** k``.
+
+    In a table whose entries off the diagonal lie in 1..top, a vertex
+    outside a k-subset has its code in {1..top}^k, so the total - k vertices
+    outside a resolving k-subset need that many distinct codes (the
+    pigeonhole bound of Khuller, Raghavachari & Rosenfeld 1996, "Landmarks
+    in graphs").  No smaller subset resolves.
+    """
+    k = 1
+    while total - k > top ** k:
+        k += 1
+    return k
+
+
+def _smallest_resolving(table: np.ndarray, budget: SearchBudget,
                         context: str) -> tuple[int, ...]:
-    """Lexicographically first resolving subset of ``range(total)`` at the
-    smallest size that has one, searching sizes in ascending order.  All of
+    """Lexicographically first resolving subset of the table's vertices at
+    the smallest size that has one, searching sizes in ascending order from
+    the pigeonhole bound on the table's largest entry.  The pair masks'
+    size limit, which no budget lifts, is checked first, then the first
+    size is gated, both before the masks are built.  All of
     ``range(total)`` resolves, so the search ends by size ``total``."""
-    scan = _SubsetScan(range(total), pair_masks)
+    total = len(table)
+    start = _fewest_landmarks(total, int(table.max(initial=0)))
+    _check_pair_mask_size(total)
+    _gate(budget, comb(total, start), f"{context} at size {start}")
+    scan = _SubsetScan(range(total), _pair_masks(table))
     planned = 0
-    for k in range(1, total + 1):
+    for k in range(start, total + 1):
         planned += comb(total, k)
         _gate(budget, planned, f"{context} at size {k}")
         combo = next(scan.resolving(k), None)
@@ -328,13 +359,13 @@ def brute_force_dimension(
 ) -> tuple[int, ResolvingSet]:
     """Smallest k admitting a resolving k-subset, plus the first witness.
 
-    Ascending-k exhaustive search in canonical order; the witness is the
+    Ascending-k exhaustive search in canonical order, from the pigeonhole
+    bound of :func:`_fewest_landmarks`; the witness is the
     lexicographically first resolving subset at the minimal size and is
     re-checked with :func:`stargrid.resolve.is_resolving` before return.
     """
-    pair_masks = _pair_masks(bfs_distances(g))
     combo = _smallest_resolving(
-        g.vertex_count(), pair_masks, budget, f"dimension search on ({g.m}, {g.n})"
+        bfs_distances(g), budget, f"dimension search on ({g.m}, {g.n})"
     )
     witness = tuple(map(g.vertex_at, combo))
     if not is_resolving(g, witness):
@@ -377,10 +408,7 @@ def brute_force_adjacency_dimension(host, budget: SearchBudget = DEFAULT_BUDGET)
     {x, y} or the symmetric difference of their neighborhoods, which are
     the columns where the two truncated rows differ.
     """
-    table = _adjacency_table(host)
-    combo = _smallest_resolving(
-        len(table), _pair_masks(table), budget, "adjacency-dimension search"
-    )
+    combo = _smallest_resolving(_adjacency_table(host), budget, "adjacency-dimension search")
     return len(combo)
 
 

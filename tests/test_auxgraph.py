@@ -11,6 +11,7 @@ from stargrid import (
     HUB,
     Cell,
     Col,
+    ComponentReport,
     GridGraph,
     InputError,
     Primed,
@@ -27,6 +28,7 @@ from stargrid import (
     iter_minimum_bases,
     structural_audit,
 )
+from stargrid import auxgraph
 
 
 # Every grid with at most 20 vertices, both orientations.
@@ -236,6 +238,29 @@ def test_component_report_dict_mirrors_fields():
         "max_degree": 2,
     }
     json.dumps(d)  # JSON-serializable as exported
+
+
+def test_components_are_computed_once_per_graph(monkeypatch):
+    # the union-find ends in one ComponentReport; classifying and then
+    # auditing one graph must build it once, and a second graph its own
+    made = []
+
+    def counted(*fields):
+        made.append(fields)
+        return ComponentReport(*fields)
+
+    monkeypatch.setattr(auxgraph, "ComponentReport", counted)
+    aux = _aux(5, 6, build_basis(5, 6))
+    report = classify_components(aux)
+    audit = structural_audit(aux, strict_tiled=True)
+    assert len(made) == 1
+    assert audit.passed and report.path_orders == (5, 5, 5, 2, 1)
+    assert classify_components(aux) is report
+    assert structural_audit(aux) == structural_audit(aux, strict_tiled=False)
+    assert len(made) == 1
+    other = _aux(5, 6, build_basis(5, 6))
+    assert classify_components(other) == report
+    assert len(made) == 2
 
 
 def test_random_resolving_supersets_keep_relays_resolved():

@@ -1,10 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
-from stargrid import dimension
+from stargrid import cli, dimension, oracle
 from stargrid.cli import main
 
 
@@ -161,8 +165,9 @@ def test_oracle_budget_exceeded(capsys):
 
 
 def test_oracle_refuses_large_grid_in_bounded_memory(capsys):
-    # (30, 30) runs its searches of size 1 and 2, then refuses size 3; its
-    # pair-mask table, 461,280 pairs of 16 uint64 words, dominates the peak
+    # (30, 30) starts at size 5, its pigeonhole bound, and refuses it after
+    # the BFS table alone; the bound is the pair-mask table it never builds,
+    # 461,280 pairs of 16 uint64 words
     table = 461_280 * 16 * 8
     tracemalloc.start()
     try:
@@ -174,6 +179,17 @@ def test_oracle_refuses_large_grid_in_bounded_memory(capsys):
     assert code == 3
     assert "budget" in err
     assert peak < 2 * table, (peak, table)
+
+
+def test_oracle_refuses_over_budget_grid_before_its_pair_masks(capsys, monkeypatch):
+    def no_masks(dist):
+        raise RuntimeError("pair masks built before the budget gate")
+
+    monkeypatch.setattr(oracle, "_pair_masks", no_masks)
+    code, out, err = run_cli(capsys, "oracle", "--m", "30", "--n", "30")
+    assert code == 3
+    assert out == ""
+    assert "at size 5 needs up to" in err
 
 
 def test_oracle_refuses_oversized_pair_masks_fast(capsys):
@@ -397,6 +413,55 @@ def test_export_oversized_grid_exits_3(capsys):
     assert out == ""
     assert "8004000 edges" in err and "limit is 2400000" in err
     assert time.perf_counter() - start < 1
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for argv in (["dim", "--m", "2", "--n", "5"], ["basis", "--m", "3", "--n", "3"],
+                 ["sweep", "--n-max", "2"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built.count("stargrid") == 1
+    # and importing the package builds none
+    probe = "import stargrid, stargrid.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = _fresh_python("-c", probe)
+    assert proc.stdout == "0\n", proc.stderr
+
+
+def _fresh_python(*args):
+    """Run a new interpreter that imports stargrid from where this one does."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+@pytest.mark.parametrize("before, after", [
+    (["dim", "--m", "0", "--n", "5"], ["dim", "--m", "2", "--n", "5"]),
+    (["basis", "--m", "4", "--n", "4", "--format", "json"], ["basis", "--m", "4", "--n", "4"]),
+    (["hgraph", "--m", "5", "--n", "6", "--set", "SET", "--strict"],
+     ["hgraph", "--m", "5", "--n", "6", "--set", "SET"]),
+    (["oracle", "--m", "2", "--n", "2", "--enumerate"], ["oracle", "--m", "2", "--n", "2"]),
+])
+def test_no_state_leaks_between_calls(capsys, tmp_path, before, after):
+    # in one process, each call of a pair prints what a fresh process
+    # prints for it
+    setfile = tmp_path / "d.txt"
+    setfile.write_text("a1,1\na2,1\na3,2\na3,3\na4,4\na4,5\nr5\n")
+    pair = [[str(setfile) if a == "SET" else a for a in argv] for argv in (before, after)]
+    fresh = []
+    for argv in pair:
+        proc = _fresh_python("-m", "stargrid.cli", *argv)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert fresh[0] != fresh[1]
+    assert [run_cli(capsys, *argv) for argv in pair] == fresh
 
 
 def test_unknown_command(capsys):

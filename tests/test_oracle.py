@@ -37,7 +37,13 @@ from stargrid import (
     iter_minimum_bases,
 )
 from stargrid import oracle
-from stargrid.oracle import _adjacency_table, _pair_masks, _SubsetScan
+from stargrid.oracle import (
+    DEFAULT_BUDGET,
+    _adjacency_table,
+    _pair_masks,
+    _smallest_resolving,
+    _SubsetScan,
+)
 
 # every grid with at most 26 vertices, m <= n
 SMALL_GRIDS = [(m, n) for m in range(1, 6) for n in range(m, 13) if (m + 1) * (n + 1) <= 26]
@@ -161,6 +167,56 @@ def test_brute_force_budget_refusal():
     g = GridGraph(10, 10)
     with pytest.raises(BudgetError):
         brute_force_dimension(g, SearchBudget(max_candidates=100_000))
+
+
+# the grids of the benchmark's oracle workload (m <= n)
+ORACLE_GRIDS = [(1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 2), (2, 3), (2, 4),
+                (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (4, 4)]
+
+
+def _first_resolving_from_size_one(table):
+    """The scan the searches ran before the pigeonhole bound: every size
+    from 1 up, first hit in lexicographic order."""
+    scan = _SubsetScan(range(len(table)), _pair_masks(table))
+    for k in range(1, len(table) + 1):
+        combo = next(scan.resolving(k), None)
+        if combo is not None:
+            return combo
+    raise AssertionError("the whole vertex set always resolves")
+
+
+@pytest.mark.parametrize("m,n", ORACLE_GRIDS)
+def test_pigeonhole_start_keeps_grid_results(m, n):
+    for g in (GridGraph(m, n), GridGraph(n, m)):
+        want = _first_resolving_from_size_one(bfs_distances(g))
+        k, witness = brute_force_dimension(g)
+        assert (k, witness.landmarks) == (len(want), tuple(map(g.vertex_at, want))), g
+        aux = build_aux_graph(g, build_basis(g.m, g.n).landmarks)
+        table = _adjacency_table(aux)
+        want = _first_resolving_from_size_one(table)
+        assert _smallest_resolving(table, DEFAULT_BUDGET, "search") == want, g
+        assert brute_force_adjacency_dimension(aux) == len(want), g
+
+
+def test_pigeonhole_start_keeps_small_host_results():
+    # paths, cycles and stars of up to 7 vertices
+    for host in [h for h in _small_hosts() if isinstance(h, SimpleGraph)]:
+        table = bfs_distances(host)
+        want = _first_resolving_from_size_one(table)
+        assert _smallest_resolving(table, DEFAULT_BUDGET, "search") == want, host.n
+        table = _adjacency_table(host)
+        want = _first_resolving_from_size_one(table)
+        assert _smallest_resolving(table, DEFAULT_BUDGET, "search") == want, host.n
+        assert brute_force_adjacency_dimension(host) == len(want), host.n
+
+
+def test_pigeonhole_bound_examples():
+    # N - k <= D^k: the 4-cycle (D = 2) needs 2, a 961-vertex grid (D = 4)
+    # needs 5, a complete graph (D = 1) needs N - 1, one vertex needs 1
+    assert oracle._fewest_landmarks(4, 2) == 2
+    assert oracle._fewest_landmarks(961, 4) == 5
+    assert oracle._fewest_landmarks(6, 1) == 5
+    assert oracle._fewest_landmarks(1, 0) == 1
 
 
 def test_adjacency_dimension_refuses_empty_host():
