@@ -9,25 +9,31 @@ enumeration, hub-free and adjacency-dimension searches.  Each search turns
 its host into one bitmask per vertex pair (which vertices tell the pair
 apart), held as ceil(N / 64) uint64 words, and sorted hardest-first (fewest
 resolvers first).  The scan yields every k-subset that meets all pair masks,
-in canonical lexicographic order.  It builds the masks of all r-subsets once
-per call (r as large as a table of ``_BLOCK_ROWS`` rows allows) and forms
-lexicographic blocks of candidates by OR-ing a fixed head of k - r indices
-into a tail of that table.  numpy tests each block in chunks that start
-small and grow 4x, so a first-hit search stops early, against the pair
-masks in growing chunks as well, since the first few pairs reject most
-candidates.  On one 2.0 GHz Xeon core, enumerating all 27 million
-7-subsets of the (5, 6) grid's 42 vertices takes about 1.6 s, and the
-(5, 6) dimension search, which first rules out the 6.2 million smaller
-subsets, about 0.5 s.  Budgets are enforced up front: a level of the search
-is never started unless its full candidate count fits, and a single-size
-search is refused before its distance table is built.  The ascending
-searches start at a pigeonhole bound read from the distance table (no
-smaller subset can resolve) and gate that first size before the pair masks
-are built, so a search whose smallest possible size is over budget is
-refused after the distance table alone.  The distance and pair-mask tables
-refuse sizes past their own limits before allocating.  So a call either
-completes or fails fast with :class:`~stargrid.errors.BudgetError` -- it
-never returns a wrong answer.
+in canonical lexicographic order.  Metric dimension is a hitting set over
+the pairs (Khuller, Raghavachari & Rosenfeld 1996, "Landmarks in graphs"),
+so the scan also carries, per subset, one hit word: bit p says whether the
+subset meets pair p, for the 64 hardest pairs.  It builds the vertex masks
+and hit words of all r-subsets once per call (r as large as a table of
+``_BLOCK_ROWS`` rows allows) and forms lexicographic blocks of candidates by
+OR-ing a fixed head of k - r indices into a tail of that table, which ORs
+the hit words as well.  Blocks start small and grow 4x, so a first-hit
+search stops early.  Stage 1 keeps the candidates whose hit word is full,
+one compare each; it rejects almost all of them.  Stage 2 tests the
+survivors against the remaining pairs with numpy, hardest first.  On one
+2.0 GHz Xeon core, enumerating all 27 million 7-subsets of the (5, 6)
+grid's 42 vertices takes about 1.0 s, and the (5, 6) dimension search,
+which first rules out the 6.2 million smaller subsets, about 0.2 s.
+
+Budgets are enforced up front: a level of the search is never started
+unless its full candidate count fits, and a single-size search is refused
+before its distance table is built.  The ascending searches start at a
+pigeonhole bound read from the distance table (no smaller subset can
+resolve) and gate that first size before the pair masks are built, so a
+search whose smallest possible size is over budget is refused after the
+distance table alone.  The distance and pair-mask tables refuse sizes past
+their own limits before allocating.  So a call either completes or fails
+fast with :class:`~stargrid.errors.BudgetError` -- it never returns a wrong
+answer.
 
 Enumeration order is a deterministic contract: for a fixed instance the
 reported dimension, witness, and basis list are identical run to run.
@@ -61,10 +67,13 @@ DEFAULT_BUDGET = SearchBudget()
 
 _WORD = np.dtype("<u8")
 # Sizes for the subset scan (see _SubsetScan): the most rows in a subset
-# table or a candidate block, the first candidate and pair chunks, and the
-# most words one test may hold, which bounds the scan's temporaries.
+# table or a candidate block, the first candidate block, the pairs a hit
+# word holds (one bit each of a uint64), the first pair chunk of stage 2,
+# and the most words one stage-2 test may hold, which bounds the scan's
+# temporaries.
 _BLOCK_ROWS = 1 << 14
 _FIRST_ROWS = 64
+_HIT_PAIRS = 64
 _FIRST_PAIRS = 16
 _ELEMENTS = 1 << 15
 # The most booleans one block of _pair_masks compares at once; blocks this
@@ -80,10 +89,17 @@ MAX_BFS_VERTICES = 2000
 MAX_PAIR_MASK_BYTES = 64 << 20
 
 
+def _check_int(value, least: int, what: str) -> None:
+    """Raise InputError unless ``value`` is an int (not a bool) >= ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 class SimpleGraph:
     """Minimal adjacency-list host for the adjacency-dimension search."""
 
     def __init__(self, n_vertices: int, edges):
+        _check_int(n_vertices, 0, "vertex count")
         self.n = n_vertices
         self._adj: list[set[int]] = [set() for _ in range(n_vertices)]
         for u, v in edges:
@@ -219,18 +235,31 @@ class _SubsetScan:
 
     Masks are held word-major, one row per uint64 word, so that testing a
     chunk of candidates against a chunk of pairs reduces over outer axes.
-    T_r, the masks of all r-subsets of the indices in lexicographic order,
-    is built on first use and kept for the life of the scan, so one search
-    over ascending k builds each table once.
+    Below the vertex words each index carries one more row, its hit word:
+    bit p is set when the index resolves pair p, for the first ``_HIT_PAIRS``
+    (hardest) pairs.  OR-ing indices into a subset ORs their hit words too,
+    so a subset meets those pairs exactly when its hit word is full, and
+    the scan tests them with one compare per candidate (stage 1).  Only the
+    survivors meet the remaining pairs in a candidates x pairs test (stage
+    2).  T_r, the masks and hit words of all r-subsets of the indices in
+    lexicographic order, is built on first use and kept for the life of
+    the scan, so one search over ascending k builds each table once.
     """
 
     def __init__(self, indices, pair_masks: np.ndarray):
         idx = np.asarray(indices, dtype=np.int64)
-        unit = np.zeros((pair_masks.shape[1], len(idx)), dtype=_WORD)
-        unit[idx // 64, np.arange(len(idx))] = np.left_shift(
-            np.uint64(1), (idx % 64).astype(np.uint64)
+        words = pair_masks.shape[1]
+        unit = np.zeros((words + 1, len(idx)), dtype=_WORD)
+        shift = (idx % 64).astype(np.uint64)
+        unit[idx // 64, np.arange(len(idx))] = np.left_shift(np.uint64(1), shift)
+        first = pair_masks[:_HIT_PAIRS]
+        # bit p of unit[-1, j]: does index j resolve pair p
+        resolves = (first[:, idx // 64] >> shift) & np.uint64(1)
+        unit[-1] = np.bitwise_or.reduce(
+            resolves << np.arange(len(first), dtype=np.uint64)[:, None], axis=0
         )
-        self.pair_masks = np.ascontiguousarray(pair_masks.T)
+        self._full = np.uint64((1 << len(first)) - 1)
+        self.pair_masks = pair_masks[_HIT_PAIRS:].T  # the pairs stage 2 tests
         self._tables = [unit]  # _tables[r - 1] is T_r
 
     def _table(self, r: int) -> np.ndarray:
@@ -249,71 +278,71 @@ class _SubsetScan:
     def resolving(self, k: int):
         """Yield each resolving k-subset as a tuple of indices.
 
-        Candidates are tested in chunks that start at ``_FIRST_ROWS`` and
-        grow 4x up to a whole block, so a first-hit search stops early.
-        Each chunk meets the pair masks hardest-first, in pair chunks that
-        start at ``_FIRST_PAIRS`` and grow 4x, since the first few pairs
-        reject most candidates; candidates x pairs x words stays within
-        ``_ELEMENTS``.
+        Stage 1 keeps the candidates of a block whose hit word is full.
+        Stage 2 tests the survivors against the remaining pairs,
+        hardest-first, in pair chunks that start at ``_FIRST_PAIRS`` and
+        grow 4x; survivors x pairs x words stays within ``_ELEMENTS``.
         """
-        rows = _FIRST_ROWS
-        for block, pair_masks in self._blocks(k):
-            words, size = block.shape
-            start = 0
-            while start < size:
-                cand = block[:, start:start + rows]
-                start += rows
-                rows = min(4 * rows, _BLOCK_ROWS)
-                done, step = 0, _FIRST_PAIRS
-                while done < pair_masks.shape[1] and cand.shape[1]:
-                    step = max(1, min(step, _ELEMENTS // (cand.shape[1] * words)))
-                    chunk = pair_masks[:, done:done + step]
-                    met = (chunk[:, :, None] & cand[:, None, :]).any(axis=0)
-                    cand = cand[:, met.all(axis=0)]
-                    done += step
-                    step *= 4
-                if cand.shape[1]:
-                    rows_le = np.ascontiguousarray(cand.T).view(np.uint8)
-                    bits = np.unpackbits(rows_le, axis=1, bitorder="little")
-                    for combo in np.nonzero(bits)[1].reshape(-1, k).tolist():
-                        yield tuple(combo)
+        pair_masks, full = self.pair_masks, self._full
+        words, pairs = pair_masks.shape
+        for block in self._blocks(k):
+            cand = block[:words, block[words] == full]
+            done, step = 0, _FIRST_PAIRS
+            while done < pairs and cand.shape[1]:
+                step = max(1, min(step, _ELEMENTS // (cand.shape[1] * words)))
+                part = pair_masks[:, done:done + step]
+                met = (part[:, :, None] & cand[:, None, :]).any(axis=0)
+                cand = cand[:, met.all(axis=0)]
+                done += step
+                step *= 4
+            if cand.shape[1]:
+                rows_le = np.ascontiguousarray(cand.T).view(np.uint8)
+                bits = np.unpackbits(rows_le, axis=1, bitorder="little")
+                for combo in np.nonzero(bits)[1].reshape(-1, k).tolist():
+                    yield tuple(combo)
 
     def _blocks(self, k: int):
-        """The k-subsets as (candidate masks, pair masks left to meet), in
-        blocks whose concatenation is in lexicographic order.
+        """The k-subsets' masks and hit words, in blocks whose concatenation
+        is in lexicographic order.
 
-        Take T_r, the largest table within ``_BLOCK_ROWS`` rows.  The
-        k-subsets whose first k - r positions are a head h plus i are h and
-        i OR-ed into the r-subsets of the positions above i, a tail of T_r.
-        Consecutive i under one head are merged into blocks of up to
-        ``_BLOCK_ROWS`` rows, which share the pairs the head leaves open.
+        Blocks start at ``_FIRST_ROWS`` rows and grow 4x up to
+        ``_BLOCK_ROWS``, so a first-hit search stops early.  Take T_r, the
+        largest table within ``_BLOCK_ROWS`` rows; for r = k the blocks are
+        slices of it.  Otherwise the k-subsets whose first k - r positions
+        are a head h plus i are h and i OR-ed into the r-subsets of the
+        positions above i, a tail of T_r.  These tails are built in order
+        and cut into blocks, so at most one tail is built past the block a
+        search stops in.
         """
         count = self._tables[0].shape[1]
         if k > count:
             return
         r = max((s for s in range(1, k + 1) if comb(count, s) <= _BLOCK_ROWS), default=1)
         table = self._table(r)
+        rows = _FIRST_ROWS
         if r == k:
-            yield table, self.pair_masks
+            start = 0
+            while start < table.shape[1]:
+                yield table[:, start:start + rows]
+                start += rows
+                rows = min(4 * rows, _BLOCK_ROWS)
             return
         unit = self._tables[0]
         tails = [table.shape[1] - comb(count - 1 - i, r) for i in range(count - r)]
+        parts, size = [], 0
         for head in itertools.combinations(range(count - r - 1), k - r - 1):
             mask = np.bitwise_or.reduce(unit[:, head], axis=1)[:, None]
-            pair_masks = self.pair_masks
-            if head:
-                # pairs the head already tells apart need no test; an empty
-                # head tells none apart, and filtering would copy every mask
-                pair_masks = pair_masks[:, ~(pair_masks & mask).any(axis=0)]
-            parts, size = [], 0
             for i in range(head[-1] + 1 if head else 0, count - r):
-                part = table[:, tails[i]:]
-                if parts and size + part.shape[1] > _BLOCK_ROWS:
-                    yield np.concatenate(parts, axis=1), pair_masks
-                    parts, size = [], 0
-                parts.append(part | (mask | unit[:, i, None]))
-                size += part.shape[1]
-            yield np.concatenate(parts, axis=1), pair_masks
+                parts.append(table[:, tails[i]:] | (mask | unit[:, i, None]))
+                size += parts[-1].shape[1]
+                while size >= rows:
+                    # a lone part is sliced, not copied again
+                    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+                    yield block[:, :rows]
+                    parts, size = [block[:, rows:]], size - rows
+                    rows = min(4 * rows, _BLOCK_ROWS)
+        if size:
+            yield np.concatenate(parts, axis=1)
 
 
 def _fewest_landmarks(total: int, top: int) -> int:
@@ -376,8 +405,7 @@ def brute_force_dimension(
 def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET):
     """Yield every resolving k-subset in canonical order (streaming form of
     :func:`enumerate_minimum_bases`)."""
-    if k < 1:
-        raise InputError("subset size must be >= 1")
+    _check_int(k, 1, "subset size")
     total = g.vertex_count()
     _gate(budget, comb(total, k), f"basis enumeration on ({g.m}, {g.n}) at size {k}")
     verts = g.vertices()
@@ -433,8 +461,7 @@ def exists_hub_free_basis(
 
     Scans hub-free subsets in canonical order and stops at the first hit.
     """
-    if k < 1:
-        raise InputError("subset size must be >= 1")
+    _check_int(k, 1, "subset size")
     total = g.vertex_count()
     _gate(budget, comb(total - 1, k), f"hub-free search on ({g.m}, {g.n}) at size {k}")
     scan = _SubsetScan(range(1, total), _pair_masks(bfs_distances(g)))

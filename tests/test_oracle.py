@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -354,6 +355,25 @@ def test_simple_graph_validation():
         SimpleGraph(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("order", [-1, True, False, 2.0, "3", None])
+def test_simple_graph_refuses_bad_order(order):
+    message = f"vertex count must be an integer >= 0, got {order!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        SimpleGraph(order, [])
+
+
+@pytest.mark.parametrize("k", [0, -2, True, False, 2.0, 2.5, "2", None])
+def test_subset_searches_refuse_bad_sizes(k):
+    g = GridGraph(1, 1)
+    message = re.escape(f"subset size must be an integer >= 1, got {k!r}")
+    with pytest.raises(InputError, match=message):
+        enumerate_minimum_bases(g, k)
+    with pytest.raises(InputError, match=message):
+        next(iter_minimum_bases(g, k))
+    with pytest.raises(InputError, match=message):
+        exists_hub_free_basis(g, k)
+
+
 def _as_ints(masks) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in masks]
 
@@ -447,6 +467,32 @@ def test_scan_matches_reference_on_cycles_across_words(order):
     gap = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
     dist = np.minimum(gap, order - gap).astype(np.uint8)
     _assert_scan_matches_reference(dist, (1, 2))
+
+
+@pytest.mark.parametrize("host", ["grid-7-7", "grid-4-12", "cycle-65", "cycle-68"])
+def test_scan_matches_reference_on_pair_mask_prefixes(host):
+    # the hit word holds the first 64 pairs and the pair loop the rest;
+    # any prefix of the masks is a valid scan input, so these prefixes put
+    # every pair on either side of that boundary, or leave one side empty.
+    # The hosts have 64, 65, 65 and 68 vertices.  On the 68-cycle the
+    # antipodal 2-subset {0, 34} meets the first 65 pairs and misses pair
+    # 65, so only the pair loop rejects it.
+    kind, *sides = host.split("-")
+    if kind == "cycle":
+        order = int(sides[0])
+        gap = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
+        dist = np.minimum(gap, order - gap).astype(np.uint8)
+    else:
+        dist = bfs_distances(GridGraph(*map(int, sides)))
+    total = dist.shape[0]
+    masks, ref_masks = _pair_masks(dist), int_pair_masks(dist)
+    for count in (0, 1, 63, 64, 65, 129):
+        every = _SubsetScan(range(total), masks[:count])
+        rest = _SubsetScan(range(1, total), masks[:count])
+        for k in (1, 2):
+            want = list(int_resolving_subsets(range(total), k, ref_masks[:count]))
+            assert list(every.resolving(k)) == want, (count, k)
+            assert list(rest.resolving(k)) == [c for c in want if c[0] != 0], (count, k)
 
 
 def test_scan_matches_reference_on_adjacency_tables():
