@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .grid import Cell, Col, GridGraph, Row, Vertex, vertex_name
-from .resolve import Verdict, _relay_footprint, _relay_verdict
+from .resolve import Verdict, _DuplicateLandmark, _relay_footprint, _relay_verdict
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,29 +48,42 @@ class Primed:
 class AuxGraph:
     """Bipartite graph on primed landmarks (left) versus relays (right).
 
-    ``landmarks`` holds the landmarks in canonical order: the relay
-    landmarks, then the cell landmarks.  Relays are numbered rows 0..m-1,
-    then columns m..m+n-1.  ``relays`` holds the relay index of each relay
-    landmark, the pendant end of its one edge.  ``cells`` holds each cell
-    landmark as the (row relay, column relay) pair its two edges join, in
-    row-major order.  Relay r has degree ``relay_degree[r]``.  The
-    vertex-level views (``left``, ``right``, ``edges``, ``vertices``,
-    ``neighbors``, ``degree``, ``is_adjacent``) are derived from these on
-    each call; ``components`` is derived once and kept.  Build instances
-    with :func:`build_aux_graph`.
+    Relays are numbered rows 0..m-1, then columns m..m+n-1.  ``relays``
+    holds the relay index of each relay landmark, the pendant end of its
+    one edge, in increasing order.  ``cells`` holds each cell landmark as
+    the (row relay, column relay) pair its two edges join, in row-major
+    order.  Relay r has degree ``relay_degree[r]``.  ``landmarks`` (the
+    landmarks in canonical order: the relay landmarks, then the cell
+    landmarks) and ``components`` are derived from these once, on first
+    request, and kept; the other vertex-level views (``left``, ``right``,
+    ``edges``, ``vertices``, ``neighbors``, ``degree``, ``is_adjacent``) on
+    each call.  Build instances with :func:`build_aux_graph`.
     """
 
-    def __init__(self, g: GridGraph, landmarks: tuple[Vertex, ...], members: frozenset[int],
-                 relays: tuple[int, ...], cells: tuple[tuple[int, int], ...],
-                 relay_degree: tuple[int, ...]):
+    def __init__(self, g: GridGraph, relays: tuple[int, ...],
+                 cells: tuple[tuple[int, int], ...], relay_degree: tuple[int, ...]):
         self.m = g.m
         self.n = g.n
-        self.landmarks = landmarks
         self.relays = relays
         self.cells = cells
         self.relay_degree = relay_degree
         self._grid = g
-        self._members = members  # canonical indices of the landmarks
+
+    @functools.cached_property
+    def landmarks(self) -> tuple[Vertex, ...]:
+        """The landmarks in canonical order, built from the relay footprint
+        on first request."""
+        m = self.m
+        return tuple([Row(r + 1) if r < m else Col(r - m + 1) for r in self.relays]
+                     + [Cell(r + 1, c - m + 1) for r, c in self.cells])
+
+    @functools.cached_property
+    def _members(self) -> frozenset[int]:
+        """Canonical indices of the landmarks: relay r is r + 1, and cell
+        (r, c) is m + n + 1 + r n + (c - m)."""
+        n = self.n
+        return frozenset([r + 1 for r in self.relays]
+                         + [n + 1 + r * n + c for r, c in self.cells])
 
     @property
     def left(self) -> tuple[Primed, ...]:
@@ -259,24 +272,21 @@ def build_aux_graph(g: GridGraph, landmarks) -> AuxGraph:
     """Build the auxiliary graph for a landmark set on g.
 
     Landmarks are canonically ordered regardless of input order, so the
-    edge list is byte-for-byte reproducible.  The hub is rejected: it has
-    no governing relays, so the construction is undefined for it.
+    edge list is byte-for-byte reproducible.  One relay-footprint pass
+    validates them and refuses duplicates, the first fault in input order
+    winning; the hub is refused after that: it has no governing relays, so
+    the construction is undefined for it.
     """
-    m, n = g.m, g.n
-    seen: set[int] = set()
-    keyed: list[tuple[int, Vertex]] = []
-    for v in landmarks:
-        idx = g.index_of(v)  # validates v
-        if idx == 0:
-            raise InputError("the hub cannot appear in an auxiliary-graph landmark set")
-        if idx in seen:
-            raise InputError(f"duplicate landmark {vertex_name(v)}")
-        seen.add(idx)
-        keyed.append((idx, v))
-    keyed.sort()  # indices are distinct, so vertices are never compared
-    lm = tuple(v for _, v in keyed)
-    relays, cells, degree = _relay_footprint(m, n, lm)
-    return AuxGraph(g, lm, frozenset(seen), tuple(relays), tuple(cells), tuple(degree))
+    try:
+        relays, cells, degree, hub = _relay_footprint(g, tuple(landmarks))
+    except _DuplicateLandmark as dup:
+        raise InputError(f"duplicate landmark {vertex_name(dup.vertex)}") from None
+    if hub:
+        raise InputError("the hub cannot appear in an auxiliary-graph landmark set")
+    # relay indices, and cell pairs row-major, sort in canonical order
+    relays.sort()
+    cells.sort()
+    return AuxGraph(g, tuple(relays), tuple(cells), tuple(degree))
 
 
 def classify_components(aux: AuxGraph) -> ComponentReport:

@@ -1,8 +1,10 @@
 """Closed-form metric dimension and O(m+n) minimum landmark construction.
 
-Inputs are normalized so the row count is the smaller side (outputs are
-mapped back through the transpose isomorphism when the caller's (m, n) was
-swapped).  After normalization exactly one regime applies:
+Inputs are normalized so the row count is the smaller side.  The
+constructions emit points of the normalized grid, and when the caller's
+(m, n) was swapped each point (x, y) becomes the caller's vertex at (y, x):
+the transpose isomorphism, applied as each vertex is made.  After
+normalization exactly one regime applies:
 
     A: m == 1                  single-row grids, three sub-cases by n
     B: 2 <= m < n/2            thin grids, dimension n - 1
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError
-from .grid import Cell, Col, GridGraph, Row, Vertex, check_sides, transpose
+from .grid import Cell, Col, GridGraph, Row, Vertex, check_sides, coordinates
 from .resolve import ResolvingSet, is_resolving
 
 # The most landmarks :func:`build_basis` constructs.  Building and verifying
@@ -153,10 +155,10 @@ def build_basis(m: int, n: int) -> ResolvingSet:
             f"basis of ({m}, {n}) has {want} landmarks, limit is {MAX_BASIS_LANDMARKS}"
         )
     reg = regime_of(m, n)
-    mm, nn = (n, m) if reg.normalized else (m, n)
-    landmarks = tuple(_construct(mm, nn, reg.tag))
-    if reg.normalized:
-        landmarks = tuple(map(transpose, landmarks))
+    if reg.normalized:  # point (x, y) of the (n, m) grid is (y, x) of this one
+        landmarks = tuple([_vertex_at(x, y) for y, x in _construct(n, m, reg.tag)])
+    else:
+        landmarks = tuple([_vertex_at(x, y) for x, y in _construct(m, n, reg.tag)])
     if len(landmarks) != want:
         raise RuntimeError(
             f"internal error: constructed {len(landmarks)} landmarks for ({m}, {n}), "
@@ -171,7 +173,21 @@ def build_basis(m: int, n: int) -> ResolvingSet:
     return ResolvingSet._distinct(landmarks, True, f"constructed-regime-{reg.tag}")
 
 
-def _construct(m: int, n: int, tag: str) -> list[Vertex]:
+def _vertex_at(x: int, y: int) -> Vertex:
+    """The vertex at point (x, y) of a grid, 0 being a star's centre (the
+    inverse of :func:`~stargrid.grid.coordinates`); (0, 0) never occurs."""
+    if x and y:
+        return Cell(x, y)
+    return Row(x) if x else Col(y)
+
+
+# The constructions below emit landmarks as points (x, y) of the normalized
+# (rows <= columns) grid, with 0 as a star's centre: Cell(i, j) is (i, j),
+# Row(i) is (i, 0) and Col(j) is (0, j).  build_basis makes each vertex once,
+# in the caller's orientation.
+
+
+def _construct(m: int, n: int, tag: str) -> list[tuple[int, int]]:
     if tag == "A":
         return _single_row(n)
     if tag == "B":
@@ -181,58 +197,59 @@ def _construct(m: int, n: int, tag: str) -> list[Vertex]:
     return _tiled(m, n)
 
 
-def _single_row(n: int) -> list[Vertex]:
-    # n == 1 is the 4-cycle; any hub-free adjacent pair of distinct kinds works.
+def _single_row(n: int) -> list[tuple[int, int]]:
+    # n == 1 is the 4-cycle; any hub-free adjacent pair of distinct kinds
+    # works: r1 and a1,1.
     if n == 1:
-        return [Row(1), Cell(1, 1)]
+        return [(1, 0), (1, 1)]
     if n <= 4:
-        return [Cell(1, j) for j in range(1, n + 1)]
-    out: list[Vertex] = [Col(1), Col(2)]
-    out.extend(Cell(1, j) for j in range(3, n))
+        return [(1, j) for j in range(1, n + 1)]
+    out = [(0, 1), (0, 2)]  # c1, c2
+    out.extend((1, j) for j in range(3, n))
     return out
 
 
-def _thin(m: int, n: int) -> list[Vertex]:
+def _thin(m: int, n: int) -> list[tuple[int, int]]:
     # Two consecutive cells per row, then one cell per leftover column in
     # the last row; the last column stays empty.  Size n - 1.
-    out: list[Vertex] = []
+    out: list[tuple[int, int]] = []
     for i in range(1, m + 1):
-        out.append(Cell(i, 2 * i - 1))
-        out.append(Cell(i, 2 * i))
-    out.extend(Cell(m, j) for j in range(2 * m + 1, n))
+        out.append((i, 2 * i - 1))
+        out.append((i, 2 * i))
+    out.extend((m, j) for j in range(2 * m + 1, n))
     return out
 
 
-def _small_balanced(m: int, n: int) -> list[Vertex]:
+def _small_balanced(m: int, n: int) -> list[tuple[int, int]]:
     gap = 2 * m - n
     if gap == 0:
-        return [Cell(i, 2 * i - 2 + off) for i in range(1, m + 1) for off in (1, 2)]
+        return [(i, 2 * i - 2 + off) for i in range(1, m + 1) for off in (1, 2)]
     if gap == 1:
-        out = [Cell(i, 2 * i - 2 + off) for i in range(1, m) for off in (1, 2)]
-        out.append(Row(m))
+        out = [(i, 2 * i - 2 + off) for i in range(1, m) for off in (1, 2)]
+        out.append((m, 0))  # r_m
         return out
     if gap == 2:
-        return [Cell(i, 2 * i - 2 + off) for i in range(1, m) for off in (1, 2)]
+        return [(i, 2 * i - 2 + off) for i in range(1, m) for off in (1, 2)]
     # gap >= 3 happens for exactly three shapes: (3,3), (4,4), (4,5)
     if (m, n) == (3, 3):
-        return [Cell(1, 1), Cell(1, 2), Cell(2, 1), Cell(3, 2)]
+        return [(1, 1), (1, 2), (2, 1), (3, 2)]
     if (m, n) == (4, 4):
-        return [Cell(1, 1), Cell(1, 2), Cell(2, 3), Cell(3, 3), Row(4)]
+        return [(1, 1), (1, 2), (2, 3), (3, 3), (4, 0)]
     if (m, n) == (4, 5):
-        return [Cell(1, 1), Cell(1, 2), Cell(2, 3), Cell(3, 3), Cell(4, 4), Cell(4, 5)]
+        return [(1, 1), (1, 2), (2, 3), (3, 3), (4, 4), (4, 5)]
     raise RuntimeError(f"internal error: unexpected small balanced shape ({m}, {n})")
 
 
-def _tiled(m: int, n: int) -> list[Vertex]:
+def _tiled(m: int, n: int) -> list[tuple[int, int]]:
     plan = tiling_plan(m, n)
     s = plan.row_pair_tiles
-    out: list[Vertex] = []
+    out: list[tuple[int, int]] = []
     for i in range(1, s + 1):
-        out.append(Cell(2 * i - 1, i))
-        out.append(Cell(2 * i, i))
+        out.append((2 * i - 1, i))
+        out.append((2 * i, i))
     for j in range(1, plan.col_pair_tiles + 1):
         row = 2 * s + j
-        out.append(Cell(row, s + 2 * j - 1))
-        out.append(Cell(row, s + 2 * j))
-    out.extend(plan.singles)
+        out.append((row, s + 2 * j - 1))
+        out.append((row, s + 2 * j))
+    out.extend(map(coordinates, plan.singles))
     return out

@@ -175,20 +175,33 @@ class GridGraph:
         return out
 
     def validate(self, v: Vertex) -> None:
+        """Raise InputError unless v is a vertex of this grid: the hub, or a
+        relay or cell whose indices are ints (not bools, as in
+        :func:`check_sides`) within the grid's sides."""
         if isinstance(v, Hub):
             return
         if isinstance(v, Row):
-            if 1 <= v.i <= self.m:
+            if type(v.i) is int and 1 <= v.i <= self.m:
                 return
+            indices = ((v.i, self.m),)
         elif isinstance(v, Col):
-            if 1 <= v.j <= self.n:
+            if type(v.j) is int and 1 <= v.j <= self.n:
                 return
+            indices = ((v.j, self.n),)
         elif isinstance(v, Cell):
-            if 1 <= v.i <= self.m and 1 <= v.j <= self.n:
+            if type(v.i) is int and type(v.j) is int and 1 <= v.i <= self.m and 1 <= v.j <= self.n:
                 return
+            indices = ((v.i, self.m), (v.j, self.n))
         else:
             raise InputError(f"not a vertex: {v!r}")
-        raise InputError(f"vertex {vertex_name(v)} out of range for grid ({self.m}, {self.n})")
+        # refused, unless every index is an int subclass within range
+        for x, side in indices:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InputError(f"vertex {vertex_name(v)} has a non-integer index {x!r}")
+            if not 1 <= x <= side:
+                raise InputError(
+                    f"vertex {vertex_name(v)} out of range for grid ({self.m}, {self.n})"
+                )
 
     def index_of(self, v: Vertex) -> int:
         """Position of v in canonical order."""

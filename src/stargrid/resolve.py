@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .grid import (
-    HUB, Cell, GridGraph, Hub, Row, Vertex, coordinates, parse_vertex, star_distance,
+    HUB, Cell, Col, GridGraph, Row, Vertex, coordinates, parse_vertex, star_distance,
 )
 
 # The most cells :func:`code_matrix` allocates.  A code table's matrix is
@@ -95,8 +95,9 @@ def _ordered_landmarks(g: GridGraph, W) -> tuple[Vertex, ...]:
     """Normalize a landmark collection to a nonempty ordered tuple.
 
     Ordered inputs keep their order; plain sets/frozensets are sorted
-    canonically so downstream output is deterministic.  Duplicates are
-    refused; a ResolvingSet's constructor has refused them already.
+    canonically so downstream output is deterministic.  Duplicates in an
+    ordered input are left to the caller: :func:`_relay_footprint` refuses
+    them, and a ResolvingSet's constructor has refused them already.
     """
     if isinstance(W, ResolvingSet):
         lm = W.landmarks
@@ -104,8 +105,6 @@ def _ordered_landmarks(g: GridGraph, W) -> tuple[Vertex, ...]:
         lm = tuple(sorted(W, key=g.index_of))
     else:
         lm = tuple(W)
-        if len(set(lm)) != len(lm):
-            raise InputError("duplicate landmarks")
     if not lm:
         raise InputError("landmark set must be nonempty")
     return lm
@@ -114,6 +113,8 @@ def _ordered_landmarks(g: GridGraph, W) -> tuple[Vertex, ...]:
 def metric_code(g: GridGraph, v: Vertex, W) -> tuple[int, ...]:
     """Hop distances from v to each landmark, in landmark order."""
     lm = _ordered_landmarks(g, W)
+    if not isinstance(W, ResolvingSet) and len(set(lm)) != len(lm):
+        raise InputError("duplicate landmarks")
     return tuple(g.distance(v, w) for w in lm)
 
 
@@ -172,7 +173,9 @@ def is_resolving(g: GridGraph, W) -> Verdict:
     """Check code injectivity over all vertices of g in O(m + n + k).
 
     Returns a truthy verdict, or the lexicographically first colliding pair
-    (by canonical vertex index) as a reproducible witness.
+    (by canonical vertex index) as a reproducible witness.  An empty set is
+    refused, and so is the first landmark, in landmark order, that is not
+    a vertex of g or repeats an earlier one.
 
     Call a row *untouched* when neither its relay nor any cell in it is a
     landmark (likewise for columns).  From the distance table in
@@ -202,39 +205,103 @@ def is_resolving(g: GridGraph, W) -> Verdict:
 
 def _verdict(g: GridGraph, lm: tuple[Vertex, ...]) -> Verdict:
     """:func:`is_resolving` on landmarks :func:`_ordered_landmarks` returned."""
-    for w in lm:
-        g.validate(w)
-    relays, cells, degree = _relay_footprint(g.m, g.n, lm)
-    if len(relays) + len(cells) == len(lm):  # the hub is no landmark
+    relays, cells, degree, hub = _relay_footprint(g, lm)
+    if not hub:
         cell = _hub_partner(g.m, relays, cells, degree)
         if cell is not None:
             return Verdict(False, (HUB, cell))
     return _relay_verdict(g, degree, cells)
 
 
-def _relay_footprint(m: int, n: int, landmarks: Iterable[Vertex]):
-    """(relay landmarks, cell landmarks, relay degrees) of validated
-    landmarks, in their order; the hub is skipped.
+class _DuplicateLandmark(InputError):
+    """A landmark repeats an earlier one; ``vertex`` is the repeat."""
+
+    def __init__(self, vertex: Vertex):
+        super().__init__("duplicate landmarks")
+        self.vertex = vertex
+
+
+def _relay_footprint(g: GridGraph, landmarks: Sequence[Vertex]):
+    """(relay landmarks, cell landmarks, relay degrees, whether the hub is a
+    landmark) of landmarks on g, in their order.
 
     Relays are numbered rows 0..m-1, then columns m..m+n-1, so relay r has
     canonical index r + 1.  A cell landmark is its (row relay, column
     relay) pair, and a relay's degree counts the landmarks touching it:
     itself and the cell landmarks in its row or column.
+
+    This is also where landmarks are checked, with one type test each: a
+    ``Row``, ``Col`` or ``Cell`` whose indices are ints in range is read in
+    place, and anything else goes through :meth:`GridGraph.validate`, which
+    keeps its messages.  Duplicates are found from the integers (a repeated
+    relay, a repeated cell pair, a second hub), so no vertex is hashed, and
+    refused with ``_DuplicateLandmark``.  Of several faults, the first in
+    landmark order is raised: the error paths rescan for it.
     """
+    m, n = g.m, g.n
     relays: list[int] = []
     cells: list[tuple[int, int]] = []
     degree = [0] * (m + n)
+    hubs = 0
+    shift = m - 1  # column j is relay j + shift
     for w in landmarks:
-        if isinstance(w, Cell):
-            r, c = w.i - 1, m + w.j - 1
-            cells.append((r, c))
-            degree[r] += 1
-            degree[c] += 1
-        elif not isinstance(w, Hub):
-            r = w.i - 1 if isinstance(w, Row) else m + w.j - 1
+        t = type(w)
+        if t is Cell:
+            x, y = w.i, w.j
+            if type(x) is int and type(y) is int and 0 < x <= m and 0 < y <= n:
+                x -= 1
+                y += shift
+                cells.append((x, y))
+                degree[x] += 1
+                degree[y] += 1
+                continue
+        elif t is Row:
+            x = w.i
+            if type(x) is int and 0 < x <= m:
+                x -= 1
+                relays.append(x)
+                degree[x] += 1
+                continue
+        elif t is Col:
+            y = w.j
+            if type(y) is int and 0 < y <= n:
+                y += shift
+                relays.append(y)
+                degree[y] += 1
+                continue
+        # the hub, a Vertex subclass, an int subclass index, or a fault; the
+        # landmarks before w are valid, and their count is w's place
+        try:
+            g.validate(w)
+        except InputError:
+            _refuse_duplicate(g, landmarks[:len(relays) + len(cells) + hubs])
+            raise
+        x, y = coordinates(w)
+        if x and y:
+            x, y = x - 1, y + shift
+            cells.append((x, y))
+            degree[x] += 1
+            degree[y] += 1
+        elif x or y:
+            r = x - 1 if x else y + shift
             relays.append(r)
             degree[r] += 1
-    return relays, cells, degree
+        else:
+            hubs += 1
+    if hubs > 1 or len(set(relays)) != len(relays) or len(set(cells)) != len(cells):
+        _refuse_duplicate(g, landmarks)
+    return relays, cells, degree, hubs == 1
+
+
+def _refuse_duplicate(g: GridGraph, landmarks: Sequence[Vertex]) -> None:
+    """Raise _DuplicateLandmark on the first landmark that repeats an earlier
+    one, by canonical index; every landmark must be valid on g."""
+    seen: set[int] = set()
+    for w in landmarks:
+        idx = g.index_of(w)
+        if idx in seen:
+            raise _DuplicateLandmark(w)
+        seen.add(idx)
 
 
 def _hub_partner(m: int, relays, cells, degree) -> Cell | None:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from stargrid import (
@@ -15,8 +17,9 @@ from stargrid import (
     is_resolving,
     regime_of,
     tiling_plan,
+    vertex_name,
 )
-from stargrid import builder
+from stargrid import builder, grid
 
 
 @pytest.mark.parametrize("m,n,want", [
@@ -142,12 +145,44 @@ def test_build_basis_deterministic():
 
 
 def test_build_basis_swapped_inputs_map_back():
+    # build_basis makes each vertex in the caller's orientation; transpose
+    # is the independent reference for the swapped grids
     from stargrid import transpose
-    fwd = build_basis(3, 7).landmarks
-    swp = build_basis(7, 3).landmarks
-    assert tuple(transpose(v) for v in fwd) == swp
-    assert is_resolving(GridGraph(7, 3), swp)
+    regimes = set()
+    for m in range(1, 41):
+        for n in range(m + 1, 41):
+            fwd, swp = build_basis(m, n), build_basis(n, m)
+            assert tuple(map(transpose, fwd.landmarks)) == swp.landmarks, (m, n)
+            assert fwd.provenance == swp.provenance
+            regimes.update([regime_of(m, n), regime_of(n, m)])
+    assert {(r.tag, r.normalized) for r in regimes} == {
+        (tag, swapped) for tag in "ABCD" for swapped in (False, True)}
+    assert is_resolving(GridGraph(7, 3), build_basis(7, 3))
     assert build_basis(7, 3).provenance == "constructed-regime-B"
+
+
+def test_build_basis_does_not_transpose(monkeypatch):
+    def refuse(v):
+        raise AssertionError("build_basis called transpose")
+    monkeypatch.setattr(builder, "transpose", refuse, raising=False)
+    monkeypatch.setattr(grid, "transpose", refuse)
+    for m, n in [(9, 6), (7, 3), (4, 1), (4, 3)]:
+        assert len(build_basis(m, n)) == dimension(m, n)
+
+
+def test_build_basis_golden_digest():
+    # sha256 of every basis with sides up to 60, as "m n provenance names"
+    # lines; computed before build_basis made its vertices in the caller's
+    # orientation, so the output is byte-identical
+    digest = hashlib.sha256()
+    for m in range(1, 61):
+        for n in range(1, 61):
+            basis = build_basis(m, n)
+            names = " ".join(map(vertex_name, basis.landmarks))
+            digest.update(f"{m} {n} {basis.provenance} {names}\n".encode())
+    assert digest.hexdigest() == (
+        "bdd3ddd5bc95b1f0f65bbe05b04835fc0b2dabc6fa41fde0217d2b89102704fc"
+    )
 
 
 def test_build_basis_rejects_bad_input():

@@ -89,6 +89,26 @@ def test_neighbors_rejects_out_of_range():
         GridGraph(True, 2)
 
 
+def test_validate_refuses_non_integer_indices():
+    # the policy of the grid sides: ints, not bools; index_of(Cell(1.5, 2))
+    # once returned 9.5
+    g = GridGraph(3, 3)
+    for bad, index in ((Cell(1.5, 2), 1.5), (Cell(2, 2.0), 2.0), (Row(1.0), 1.0),
+                       (Col(True), True), (Row(np.int64(2)), np.int64(2)), (Col("1"), "1")):
+        message = f"vertex {vertex_name(bad)} has a non-integer index {index!r}"
+        for check in (g.validate, g.index_of, g.degree, g.neighbors):
+            with pytest.raises(InputError) as exc:
+                check(bad)
+            assert str(exc.value) == message
+    # an out-of-range index is named as such, whatever the other index is
+    with pytest.raises(InputError, match="^vertex a9,1.5 out of range for grid"):
+        g.validate(Cell(9, 1.5))
+    # an int subclass other than bool is an int
+    class Index(int):
+        pass
+    assert g.index_of(Cell(Index(2), 3)) == g.index_of(Cell(2, 3))
+
+
 def test_distance_table_examples():
     g = GridGraph(5, 5)
     assert g.distance(HUB, Cell(2, 3)) == 2

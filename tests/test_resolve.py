@@ -318,3 +318,123 @@ def test_code_matrix_refuses_oversized_table():
     with pytest.raises(BudgetError, match="limit is 100000000"):
         code_matrix(GridGraph(1000, 1000), build_basis(1000, 1000).landmarks)
     assert code_matrix(GridGraph(99, 99), [HUB]).shape == (10000, 1)
+
+
+# Each entry point that checks a landmark set against a grid, as f(g, W).
+# ResolvingSet refuses duplicates itself and leaves the rest to the grid
+# check, here code_table's, whatever its verified flag says.
+LANDMARK_ENTRY_POINTS = {
+    "metric_code": lambda g, W: metric_code(g, HUB, W),
+    "is_resolving": is_resolving,
+    "build_aux_graph": build_aux_graph,
+    "code_table": code_table,
+    "ResolvingSet": lambda g, W: code_table(g, ResolvingSet(tuple(W), verified=True)),
+}
+DUPLICATE_MESSAGE = {
+    "metric_code": "duplicate landmarks",
+    "is_resolving": "duplicate landmarks",
+    "build_aux_graph": "duplicate landmark a1,2",
+    "code_table": "duplicate landmarks",
+    "ResolvingSet": "duplicate landmarks in resolving set",
+}
+
+
+def _refusal(entry, landmarks, g=GridGraph(3, 3)):
+    with pytest.raises(InputError) as exc:
+        LANDMARK_ENTRY_POINTS[entry](g, landmarks)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("entry", LANDMARK_ENTRY_POINTS)
+def test_entry_points_refuse_bad_landmarks_with_their_messages(entry):
+    assert _refusal(entry, [Row(1), Cell(1, 2), Col(3), Cell(1, 2)]) == DUPLICATE_MESSAGE[entry]
+    for bad, name in ((Cell(4, 1), "a4,1"), (Row(0), "r0"), (Col(4), "c4")):
+        assert _refusal(entry, [Row(1), bad]) == f"vertex {name} out of range for grid (3, 3)"
+    assert _refusal(entry, [Row(1), "r2"]) == "not a vertex: 'r2'"
+    assert _refusal(entry, [Row(1), (1, 2)]) == "not a vertex: (1, 2)"
+
+
+@pytest.mark.parametrize("entry", LANDMARK_ENTRY_POINTS)
+@pytest.mark.parametrize("bad,name,index", [
+    (Cell(1.5, 2), "a1.5,2", 1.5),
+    (Cell(1, 2.0), "a1,2.0", 2.0),
+    (Row(1.0), "r1.0", 1.0),
+    (Col(True), "cTrue", True),
+    (Cell(np.int64(1), 2), "a1,2", np.int64(1)),
+])
+def test_entry_points_refuse_non_integer_indices(entry, bad, name, index):
+    # a float, bool or numpy index once slipped past the range check
+    assert _refusal(entry, [bad, Col(2)]) == f"vertex {name} has a non-integer index {index!r}"
+
+
+def test_duplicates_are_found_by_grid_position():
+    # a repeated relay, a repeated cell and a second hub are each refused
+    g = GridGraph(3, 4)
+    for W in ([Row(2), Col(2), Row(2)], [Col(4), Col(4)], [Cell(2, 3), Row(1), Cell(2, 3)],
+              [HUB, Cell(1, 1), HUB]):
+        with pytest.raises(InputError, match="^duplicate landmarks$"):
+            is_resolving(g, W)
+    # a cell and the relays it joins are distinct landmarks
+    assert _same_verdict(g, [Cell(1, 1), Row(1), Col(1), HUB])
+
+
+def test_first_fault_in_landmark_order_wins():
+    g = GridGraph(3, 3)
+    out_of_range = "vertex a9,9 out of range for grid (3, 3)"
+    for entry in ("is_resolving", "code_table", "ResolvingSet"):
+        assert _refusal(entry, [Row(1), Row(1), Cell(9, 9)], g) == DUPLICATE_MESSAGE[entry]
+    for entry in ("is_resolving", "code_table"):
+        assert _refusal(entry, [Cell(9, 9), Row(1), Row(1)], g) == out_of_range
+        assert _refusal(entry, [Row(1), "x", Row(1)], g) == "not a vertex: 'x'"
+    # the ResolvingSet constructor refuses duplicates before any grid check
+    assert _refusal("ResolvingSet", [Cell(9, 9), Row(1), Row(1)], g) == DUPLICATE_MESSAGE[
+        "ResolvingSet"]
+    # metric_code refuses duplicates before it reads any landmark
+    assert _refusal("metric_code", [Cell(9, 9), Row(1), Row(1)], g) == "duplicate landmarks"
+    # build_aux_graph: invalid and duplicate landmarks in order, then the hub
+    hub = "the hub cannot appear in an auxiliary-graph landmark set"
+    assert _refusal("build_aux_graph", [Row(1), Row(1), Cell(9, 9)], g) == "duplicate landmark r1"
+    assert _refusal("build_aux_graph", [Cell(9, 9), Row(1), Row(1)], g) == out_of_range
+    assert _refusal("build_aux_graph", [HUB, Cell(9, 9)], g) == out_of_range
+    assert _refusal("build_aux_graph", [Cell(9, 9), HUB], g) == out_of_range
+    assert _refusal("build_aux_graph", [HUB, Row(1), Row(1)], g) == "duplicate landmark r1"
+    assert _refusal("build_aux_graph", [HUB, HUB], g) == "duplicate landmark hub"
+    assert _refusal("build_aux_graph", [Row(1), HUB, Col(1)], g) == hub
+
+
+def test_valid_landmarks_are_checked_without_validate(monkeypatch):
+    # the relay footprint reads exact Row, Col and Cell landmarks in place
+    calls = []
+    real = GridGraph.validate
+    monkeypatch.setattr(GridGraph, "validate", lambda g, v: calls.append(v) or real(g, v))
+    for m, n in [(1, 1), (1, 7), (3, 8), (4, 4), (9, 6), (12, 14)]:
+        g = GridGraph(m, n)
+        landmarks = build_basis(m, n).landmarks
+        calls.clear()
+        assert is_resolving(g, list(landmarks))
+        build_aux_graph(g, landmarks)
+        assert calls == []
+    # the hub is the one valid landmark that takes the slow path
+    is_resolving(GridGraph(2, 2), [HUB, Row(1), Cell(2, 2)])
+    assert calls == [HUB]
+
+
+def test_footprint_reads_subclass_landmarks_like_their_base():
+    # int subclass indices and Vertex subclasses are valid; the relay
+    # footprint reads them through validate and coordinates
+    class Index(int):
+        pass
+
+    class Corner(Cell):
+        pass
+
+    g = GridGraph(4, 5)
+    plain = [Cell(1, 2), Row(3), Col(5), Cell(4, 4), HUB]
+    odd = [Corner(1, 2), Row(Index(3)), Col(Index(5)), Cell(Index(4), 4), HUB]
+    assert (is_resolving(g, odd).resolving, is_resolving(g, odd).witness) == (
+        is_resolving(g, plain).resolving, is_resolving(g, plain).witness)
+    aux = build_aux_graph(g, odd[:-1])
+    assert (aux.relays, aux.cells) == ((2, 8), ((0, 5), (3, 7)))
+    assert aux.landmarks == (Row(3), Col(5), Cell(1, 2), Cell(4, 4))
+    with pytest.raises(InputError, match="^duplicate landmark a1,2$"):
+        build_aux_graph(g, [Cell(1, 2), Corner(1, 2)])
