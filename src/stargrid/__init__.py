@@ -9,7 +9,6 @@ and a hop-count localization demo.
 
 from .auxgraph import (
     ComponentReport,
-    Primed,
     aux_graph_to_dot,
     build_aux_graph,
     check_relays_resolved,
@@ -52,11 +51,8 @@ from .oracle import (
 from .resolve import (
     ResolvingSet,
     Verdict,
-    adjacency_code,
-    adjacency_resolved_by_neighborhoods,
     code_matrix,
     full_distance_matrix,
-    is_adjacency_resolving,
     is_resolving,
     metric_code,
     parse_landmark_lines,
@@ -77,7 +73,6 @@ __all__ = [
     "Hub",
     "InputError",
     "NoiseModel",
-    "Primed",
     "ResolvingSet",
     "Row",
     "SearchBudget",
@@ -99,9 +94,6 @@ __all__ = [
     "enumerate_minimum_bases",
     "exists_hub_free_basis",
     "full_distance_matrix",
-    "is_adjacency_resolving",
-    "adjacency_code",
-    "adjacency_resolved_by_neighborhoods",
     "is_resolving",
     "iter_minimum_bases",
     "metric_code",

@@ -9,9 +9,11 @@ hub has no row or column, so landmark sets containing it are rejected.
 The graph is held as the relay footprint that
 :func:`stargrid.resolve.is_resolving` also reads, not as vertex objects.
 Relays are numbered 0..m+n-1, rows first, which is also their canonical
-order.  A relay landmark is a pendant vertex on its relay and a cell
-landmark an edge between its two relays, so :func:`classify_components`
-finds the components by union-find over the m + n relays.  Every edge has
+order.  Where a vertex must be named, as in the oracle's host protocol,
+it is an integer: the k primed landmarks first, then the relays.  A relay
+landmark is a pendant vertex on its relay and a cell landmark an edge
+between its two relays, so :func:`classify_components` finds the
+components by union-find over the m + n relays.  Every edge has
 exactly one relay end, so a component's edge count is the sum of its relay
 degrees; it is a path exactly when it has one edge fewer than vertices and
 no relay of degree above 2 (primed copies have degree 1 or 2).  Building,
@@ -38,13 +40,6 @@ from .grid import Cell, Col, GridGraph, Row, Vertex, vertex_name
 from .resolve import Verdict, _DuplicateLandmark, _relay_footprint, _relay_verdict
 
 
-@dataclass(frozen=True, slots=True)
-class Primed:
-    """Left-part copy of a landmark."""
-
-    base: Vertex
-
-
 class AuxGraph:
     """Bipartite graph on primed landmarks (left) versus relays (right).
 
@@ -55,9 +50,14 @@ class AuxGraph:
     order.  Relay r has degree ``relay_degree[r]``.  ``landmarks`` (the
     landmarks in canonical order: the relay landmarks, then the cell
     landmarks) and ``components`` are derived from these once, on first
-    request, and kept; the other vertex-level views (``left``, ``right``,
-    ``edges``, ``vertices``, ``neighbors``, ``degree``, ``is_adjacent``) on
-    each call.  Build instances with :func:`build_aux_graph`.
+    request, and kept.
+
+    As a host for :func:`stargrid.oracle.brute_force_adjacency_dimension`
+    it is a plain integer graph on k + m + n vertices: vertex i < k is the
+    primed copy of ``landmarks[i]`` (``left``), and vertex k + r is relay r
+    (``right``).  ``index_of`` is the identity, and ``neighbors`` reads one
+    adjacency list, built on first request and kept.  Build instances with
+    :func:`build_aux_graph`.
     """
 
     def __init__(self, g: GridGraph, relays: tuple[int, ...],
@@ -77,64 +77,42 @@ class AuxGraph:
         return tuple([Row(r + 1) if r < m else Col(r - m + 1) for r in self.relays]
                      + [Cell(r + 1, c - m + 1) for r, c in self.cells])
 
+    @property
+    def left(self) -> range:
+        """The primed landmarks, in landmark order."""
+        return range(len(self.relays) + len(self.cells))
+
+    @property
+    def right(self) -> range:
+        """The relays in index order: rows, then columns."""
+        k = len(self.left)
+        return range(k, k + self.m + self.n)
+
+    def vertex_count(self) -> int:
+        return len(self.left) + self.m + self.n
+
+    def vertices(self) -> range:
+        return range(self.vertex_count())
+
+    def index_of(self, v: int) -> int:
+        return v
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """A primed landmark's relays, or a relay's primed landmarks, in
+        increasing order."""
+        if v not in self.vertices():
+            raise InputError(f"vertex {v!r} not in auxiliary graph")
+        return self._adjacency[v]
+
     @functools.cached_property
-    def _members(self) -> frozenset[int]:
-        """Canonical indices of the landmarks: relay r is r + 1, and cell
-        (r, c) is m + n + 1 + r n + (c - m)."""
-        n = self.n
-        return frozenset([r + 1 for r in self.relays]
-                         + [n + 1 + r * n + c for r, c in self.cells])
-
-    @property
-    def left(self) -> tuple[Primed, ...]:
-        return tuple(Primed(b) for b in self.landmarks)
-
-    @property
-    def right(self) -> tuple[Vertex, ...]:
-        """Relays in index order: rows, then columns."""
-        return tuple([Row(i) for i in range(1, self.m + 1)]
-                     + [Col(j) for j in range(1, self.n + 1)])
-
-    @property
-    def edges(self) -> tuple[tuple[Primed, Vertex], ...]:
-        """(primed landmark, relay) pairs in landmark order, row end first."""
-        right = self.right
-        return tuple((Primed(b), right[r]) for b, ends in self._ends() for r in ends)
-
-    def vertices(self) -> list:
-        """Left part in landmark order, then relays (rows, then columns)."""
-        return list(self.left) + list(self.right)
-
-    def neighbors(self, v) -> list:
-        r = self._relay_index(v)
-        if r is not None:
-            return [Primed(b) for b, ends in self._ends() if r in ends]
-        if isinstance(v, Primed) and self._is_landmark(v.base):
-            b = v.base
-            return [Row(b.i), Col(b.j)] if isinstance(b, Cell) else [b]
-        raise InputError(f"vertex {v!r} not in auxiliary graph")
-
-    def degree(self, v) -> int:
-        r = self._relay_index(v)
-        if r is not None:
-            return self.relay_degree[r]
-        if isinstance(v, Primed) and self._is_landmark(v.base):
-            return 2 if isinstance(v.base, Cell) else 1
-        raise InputError(f"vertex {v!r} not in auxiliary graph")
-
-    def is_adjacent(self, u, v) -> bool:
-        if isinstance(v, Primed):
-            u, v = v, u
-        if not isinstance(u, Primed):
-            return False
-        b = u.base
-        if isinstance(v, Row):
-            hit = isinstance(b, (Row, Cell)) and b.i == v.i
-        elif isinstance(v, Col):
-            hit = isinstance(b, (Col, Cell)) and b.j == v.j
-        else:
-            return False
-        return hit and self._is_landmark(b)
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        k = len(self.left)
+        ends = [(k + r,) for r in self.relays] + [(k + r, k + c) for r, c in self.cells]
+        hits: list[list[int]] = [[] for _ in range(self.m + self.n)]
+        for i, pair in enumerate(ends):
+            for v in pair:
+                hits[v - k].append(i)
+        return tuple(ends) + tuple(map(tuple, hits))
 
     @functools.cached_property
     def components(self) -> ComponentReport:
@@ -188,23 +166,6 @@ class AuxGraph:
         path_orders.sort(reverse=True)
         max_degree = max(max(degree), 2 if self.cells else 0)
         return ComponentReport(tuple(path_orders), non_path, isolated, max_degree)
-
-    def _ends(self):
-        """Each landmark, in landmark order, with the relays it is joined to."""
-        return zip(self.landmarks, [(r,) for r in self.relays] + list(self.cells))
-
-    def _relay_index(self, v) -> int | None:
-        if isinstance(v, Row) and 1 <= v.i <= self.m:
-            return v.i - 1
-        if isinstance(v, Col) and 1 <= v.j <= self.n:
-            return self.m + v.j - 1
-        return None
-
-    def _is_landmark(self, b) -> bool:
-        try:
-            return self._grid.index_of(b) in self._members
-        except InputError:
-            return False
 
 
 @dataclass(frozen=True)
@@ -278,7 +239,7 @@ def build_aux_graph(g: GridGraph, landmarks) -> AuxGraph:
     the construction is undefined for it.
     """
     try:
-        relays, cells, degree, hub = _relay_footprint(g, tuple(landmarks))
+        relays, cells, degree, hub, _ = _relay_footprint(g, tuple(landmarks))
     except _DuplicateLandmark as dup:
         raise InputError(f"duplicate landmark {vertex_name(dup.vertex)}") from None
     if hub:
@@ -304,14 +265,14 @@ def check_relays_resolved(aux: AuxGraph) -> Verdict:
 
     This is the property any resolving landmark set must imprint on its
     auxiliary graph; failures return the first colliding relay pair in
-    relay order, as :func:`stargrid.resolve.is_adjacency_resolving` would
-    over ``aux.right`` against ``aux.left``.  A relay's code is its set of
-    primed neighbors, so two relays collide when both are untouched or when
-    a lone cell landmark alone touches both: the rule
+    relay order, as an adjacency-code check of ``aux.right`` against
+    ``aux.left`` would.  A relay's code is its set of primed neighbors, so
+    two relays collide when both are untouched or when a lone cell landmark
+    alone touches both: the rule
     :func:`stargrid.resolve.is_resolving` applies to metric codes, read
     from the same footprint.  O(m + n + k).
     """
-    if not aux.landmarks:
+    if not aux.left:
         raise InputError("landmark set must be nonempty")
     return _relay_verdict(aux._grid, aux.relay_degree, aux.cells)
 
@@ -375,13 +336,13 @@ def structural_audit(aux: AuxGraph, strict_tiled: bool = False) -> AuditReport:
 
 def aux_graph_to_dot(aux: AuxGraph) -> str:
     """DOT rendering; primed landmarks are named "p_<vertex>"."""
-    lines = ["graph aux {"]
-    lines.append(f'  graph [m={aux.m}, n={aux.n}, basis_size={len(aux.landmarks)}];')
-    for v in aux.left:
-        lines.append(f'  "p_{vertex_name(v.base)}";')
-    for v in aux.right:
-        lines.append(f'  "{vertex_name(v)}";')
-    for a, b in aux.edges:
-        lines.append(f'  "p_{vertex_name(a.base)}" -- "{vertex_name(b)}";')
+    names = [vertex_name(b) for b in aux.landmarks]
+    # relay r is the grid's vertex r + 1
+    relays = [vertex_name(aux._grid.vertex_at(r + 1)) for r in range(aux.m + aux.n)]
+    lines = ["graph aux {", f'  graph [m={aux.m}, n={aux.n}, basis_size={len(names)}];']
+    lines += [f'  "p_{a}";' for a in names]
+    lines += [f'  "{r}";' for r in relays]
+    for a, ends in zip(names, [(r,) for r in aux.relays] + list(aux.cells)):
+        lines += [f'  "p_{a}" -- "{relays[r]}";' for r in ends]
     lines.append("}")
     return "\n".join(lines) + "\n"

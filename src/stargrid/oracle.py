@@ -1,8 +1,9 @@
 """Independent brute-force ground truth for small grids.
 
-Everything here works from breadth-first-search distances over the explicit
-neighbor lists, never from the closed-form metric, so results can be used
-to validate the closed forms and the constructed landmark sets.
+Everything here works from the explicit neighbor lists (breadth-first-search
+distances, or for the adjacency search the lists alone), never from the
+closed-form metric, so results can be used to validate the closed forms
+and the constructed landmark sets.
 
 One subset scan serves every search -- the dimension, minimum-basis
 enumeration, hub-free and adjacency-dimension searches.  Each search turns
@@ -131,9 +132,6 @@ class SimpleGraph:
 
     def index_of(self, v: int) -> int:
         return v
-
-    def is_adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
 
 
 def bfs_distances(g: GridGraph) -> np.ndarray:
@@ -430,26 +428,33 @@ def brute_force_adjacency_dimension(host, budget: SearchBudget = DEFAULT_BUDGET)
     """Smallest k admitting an adjacency-resolving k-subset of the host.
 
     Convention: the empty set never counts, so a one-vertex host has
-    adjacency dimension 1.  Hosts need ``vertices()`` and ``is_adjacent``.
-    The search runs on the truncated table (0 on the diagonal, 1 for
-    adjacent, 2 otherwise): S separates x and y exactly when S meets
-    {x, y} or the symmetric difference of their neighborhoods, which are
-    the columns where the two truncated rows differ.
+    adjacency dimension 1.  Hosts are read as :func:`bfs_distances` reads
+    them, through ``vertex_count()``, ``vertices()``, ``neighbors`` and
+    ``index_of``.  The search runs on the truncated table (0 on the
+    diagonal, 1 for adjacent, 2 otherwise): S separates x and y exactly
+    when S meets {x, y} or the symmetric difference of their
+    neighborhoods, which are the columns where the two truncated rows
+    differ.  A host whose pair masks would pass ``MAX_PAIR_MASK_BYTES`` is
+    refused from ``vertex_count()`` alone, before the table is built.
     """
+    _check_pair_mask_size(host.vertex_count())
     combo = _smallest_resolving(_adjacency_table(host), budget, "adjacency-dimension search")
     return len(combo)
 
 
 def _adjacency_table(host) -> np.ndarray:
-    """The host's distances truncated at 2, in ``host.vertices()`` order."""
-    verts = list(host.vertices())
-    total = len(verts)
+    """The host's distances truncated at 2, in ``host.vertices()`` order.
+
+    Each vertex's neighbour list, numbered by ``index_of``, is scattered
+    into its row; no BFS runs, as its levels would follow the diameter.
+    """
+    total = host.vertex_count()
+    lists = [host.neighbors(v) for v in host.vertices()]
+    rows = np.repeat(np.arange(total), [len(near) for near in lists])
+    cols = np.fromiter(map(host.index_of, itertools.chain.from_iterable(lists)),
+                       dtype=np.intp, count=len(rows))
     table = np.full((total, total), 2, dtype=np.uint8)
-    # adjacency is symmetric, so ask once per unordered pair
-    for x, v in enumerate(verts):
-        for y in range(x + 1, total):
-            if host.is_adjacent(v, verts[y]):
-                table[x, y] = table[y, x] = 1
+    table[rows, cols] = 1
     np.fill_diagonal(table, 0)
     return table
 

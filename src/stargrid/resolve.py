@@ -1,10 +1,9 @@
-"""Metric and adjacency codes, and resolving-set verification.
+"""Metric codes and resolving-set verification.
 
 A landmark set W resolves a graph when the vector of hop distances to the
 landmarks (the metric code) is distinct for every vertex.  The adjacency
-variant truncates distances at 2, so only "is a landmark" (0), "adjacent"
-(1), and "everything else" (2) survive; it is used on the small auxiliary
-graphs built in :mod:`stargrid.auxgraph`.
+variant, distances truncated at 2, is searched by
+:func:`stargrid.oracle.brute_force_adjacency_dimension`.
 
 Verification never builds codes.  Whether two vertices collide depends only
 on whether each is a landmark and on which rows and columns the landmarks
@@ -205,9 +204,9 @@ def is_resolving(g: GridGraph, W) -> Verdict:
 
 def _verdict(g: GridGraph, lm: tuple[Vertex, ...]) -> Verdict:
     """:func:`is_resolving` on landmarks :func:`_ordered_landmarks` returned."""
-    relays, cells, degree, hub = _relay_footprint(g, lm)
+    relays, cells, degree, hub, taken = _relay_footprint(g, lm)
     if not hub:
-        cell = _hub_partner(g.m, relays, cells, degree)
+        cell = _hub_partner(g.m, relays, taken, degree)
         if cell is not None:
             return Verdict(False, (HUB, cell))
     return _relay_verdict(g, degree, cells)
@@ -223,7 +222,7 @@ class _DuplicateLandmark(InputError):
 
 def _relay_footprint(g: GridGraph, landmarks: Sequence[Vertex]):
     """(relay landmarks, cell landmarks, relay degrees, whether the hub is a
-    landmark) of landmarks on g, in their order.
+    landmark, the set of cell landmarks) of landmarks on g, in their order.
 
     Relays are numbered rows 0..m-1, then columns m..m+n-1, so relay r has
     canonical index r + 1.  A cell landmark is its (row relay, column
@@ -288,9 +287,10 @@ def _relay_footprint(g: GridGraph, landmarks: Sequence[Vertex]):
             degree[r] += 1
         else:
             hubs += 1
-    if hubs > 1 or len(set(relays)) != len(relays) or len(set(cells)) != len(cells):
+    taken = set(cells)
+    if hubs > 1 or len(set(relays)) != len(relays) or len(taken) != len(cells):
         _refuse_duplicate(g, landmarks)
-    return relays, cells, degree, hubs == 1
+    return relays, cells, degree, hubs == 1, taken
 
 
 def _refuse_duplicate(g: GridGraph, landmarks: Sequence[Vertex]) -> None:
@@ -304,8 +304,9 @@ def _refuse_duplicate(g: GridGraph, landmarks: Sequence[Vertex]) -> None:
         seen.add(idx)
 
 
-def _hub_partner(m: int, relays, cells, degree) -> Cell | None:
+def _hub_partner(m: int, relays, cells: set, degree) -> Cell | None:
     """First cell sharing the hub's code, or None; the hub is no landmark.
+    ``cells`` is the set of cell landmarks as relay pairs.
 
     That is a cell (i, j) that is no landmark while each landmark touches
     relay r_i or c_j, and so none touches both: their degrees sum to the
@@ -317,10 +318,9 @@ def _hub_partner(m: int, relays, cells, degree) -> Cell | None:
     by_degree: dict[int, list[int]] = {}
     for c in [c for c in relays if c >= m] or range(m, len(degree)):
         by_degree.setdefault(degree[c], []).append(c)
-    taken = set(cells)
     for r in [r for r in relays if r < m] or range(m):
         for c in by_degree.get(k - degree[r], ()):
-            if (r, c) not in taken:
+            if (r, c) not in cells:
                 return Cell(r + 1, c - m + 1)
     return None
 
@@ -345,68 +345,6 @@ def _relay_verdict(g: GridGraph, degree, cells) -> Verdict:
     else:
         return Verdict(True)
     return Verdict(False, (g.vertex_at(pair[0] + 1), g.vertex_at(pair[1] + 1)))
-
-
-def adjacency_code(host, v, S) -> tuple[int, ...]:
-    """Distance-truncated-at-2 code of v against the ordered landmarks S.
-
-    Works on any host exposing ``is_adjacent`` (grid graphs, auxiliary
-    graphs, plain adjacency-list graphs): an entry is 0 exactly when v is
-    that landmark, 1 when adjacent, else 2, which equals min(2, d) in the
-    host metric.
-    """
-    lm = tuple(S)
-    if not lm:
-        raise InputError("landmark set must be nonempty")
-    return tuple(0 if v == w else (1 if host.is_adjacent(v, w) else 2) for w in lm)
-
-
-def is_adjacency_resolving(host, U: Iterable, S) -> Verdict:
-    """Check adjacency-code injectivity over the vertex subset U.
-
-    The witness is the lexicographically first colliding pair in the host's
-    vertex order.
-    """
-    lm = tuple(S)
-    if not lm:
-        raise InputError("landmark set must be nonempty")
-    position = {v: i for i, v in enumerate(host.vertices())}
-    members = sorted(U, key=position.__getitem__)
-    first_seen: dict[tuple[int, ...], int] = {}
-    best: tuple[int, int] | None = None
-    for idx, v in enumerate(members):
-        code = adjacency_code(host, v, lm)
-        prev = first_seen.setdefault(code, idx)
-        if prev != idx:
-            pair = (prev, idx)
-            if best is None or pair < best:
-                best = pair
-    if best is None:
-        return Verdict(True)
-    return Verdict(False, (members[best[0]], members[best[1]]))
-
-
-def adjacency_resolved_by_neighborhoods(host, U: Iterable, S) -> bool:
-    """Equivalent formulation: N(v) & S is distinct for every v in U \\ S.
-
-    Vertices of U that are themselves landmarks are automatically separated
-    by their own zero entry, so only the neighborhoods of the rest matter.
-    Kept alongside :func:`is_adjacency_resolving` so tests can confirm the
-    two definitions agree.
-    """
-    lm = tuple(S)
-    if not lm:
-        raise InputError("landmark set must be nonempty")
-    in_s = set(lm)
-    seen: set[frozenset] = set()
-    for v in U:
-        if v in in_s:
-            continue
-        sig = frozenset(w for w in lm if host.is_adjacent(v, w))
-        if sig in seen:
-            return False
-        seen.add(sig)
-    return True
 
 
 def parse_landmark_lines(lines: Iterable[str]) -> list[Vertex]:

@@ -18,8 +18,15 @@ first pair it leaves unresolved.
 searched from every source at once with numpy: one pure-Python BFS per
 source over neighbour lists indexed with ``index_of``.
 
-:func:`square_adjacency_table` is the oracle's adjacency table before it
-asked ``is_adjacent`` once per unordered pair: every ordered pair, N^2 calls.
+:func:`square_adjacency_table` is the oracle's adjacency table built pair
+by pair: every ordered pair is looked up in the first vertex's neighbour
+list, where the oracle scatters each list into its row by ``index_of``.
+
+:func:`adjacency_code`, :func:`is_adjacency_resolving` and
+:func:`adjacency_resolved_by_neighborhoods` are the adjacency-code
+definitions (Chartrand, Eroh, Johnson & Oellermann 2000) read straight from
+a host's ``neighbors``: the slow references for the oracle's adjacency
+search and for :func:`stargrid.check_relays_resolved`.
 
 :func:`brute_force_decode` is nearest-code decoding by broadcasting every
 probe against the full code matrix, a (T, N, k) tensor, the naive batch
@@ -27,8 +34,8 @@ form of :func:`stargrid.decode` that :func:`stargrid.decode_batch` avoids.
 
 :func:`bfs_classify_components` is :func:`stargrid.classify_components`
 before it ran union-find over relay indices: a breadth-first search over
-adjacency lists of the auxiliary graph's vertex objects, built here from
-its public ``vertices()`` and ``edges``.
+the auxiliary graph's integer vertices, read through its public
+``vertices()``, ``right`` and ``neighbors``.
 """
 
 import itertools
@@ -36,7 +43,7 @@ from collections import deque
 
 import numpy as np
 
-from stargrid import ComponentReport, GridGraph, Verdict, code_matrix
+from stargrid import ComponentReport, GridGraph, InputError, Verdict, code_matrix
 
 
 def sort_is_resolving(g: GridGraph, landmarks) -> Verdict:
@@ -138,8 +145,9 @@ def square_adjacency_table(host) -> np.ndarray:
     total = len(verts)
     table = np.full((total, total), 2, dtype=np.uint8)
     for x, v in enumerate(verts):
+        near = host.neighbors(v)
         for y, w in enumerate(verts):
-            if v != w and host.is_adjacent(v, w):
+            if v != w and w in near:
                 table[x, y] = 1
     np.fill_diagonal(table, 0)
     return table
@@ -148,10 +156,7 @@ def square_adjacency_table(host) -> np.ndarray:
 def bfs_classify_components(aux) -> ComponentReport:
     """Connected components by BFS, labeled path (with order) or non-path."""
     vertices = aux.vertices()
-    adj: dict = {v: [] for v in vertices}
-    for a, b in aux.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = {v: aux.neighbors(v) for v in vertices}
     seen: set = set()
     path_orders: list[int] = []
     non_path = 0
@@ -178,3 +183,51 @@ def bfs_classify_components(aux) -> ComponentReport:
             non_path += 1
     path_orders.sort(reverse=True)
     return ComponentReport(tuple(path_orders), non_path, isolated_right, max_degree)
+
+
+def adjacency_code(host, v, S) -> tuple[int, ...]:
+    """Distance-truncated-at-2 code of v against the ordered landmarks S: an
+    entry is 0 exactly when v is that landmark, 1 when adjacent, else 2."""
+    lm = tuple(S)
+    if not lm:
+        raise InputError("landmark set must be nonempty")
+    near = set(host.neighbors(v))
+    return tuple(0 if v == w else (1 if w in near else 2) for w in lm)
+
+
+def is_adjacency_resolving(host, U, S) -> Verdict:
+    """Check adjacency-code injectivity over the vertex subset U; the witness
+    is the lexicographically first colliding pair in the host's vertex
+    order."""
+    lm = tuple(S)
+    if not lm:
+        raise InputError("landmark set must be nonempty")
+    position = {v: i for i, v in enumerate(host.vertices())}
+    members = sorted(U, key=position.__getitem__)
+    first_seen: dict[tuple[int, ...], int] = {}
+    best: tuple[int, int] | None = None
+    for idx, v in enumerate(members):
+        prev = first_seen.setdefault(adjacency_code(host, v, lm), idx)
+        if prev != idx and (best is None or (prev, idx) < best):
+            best = (prev, idx)
+    if best is None:
+        return Verdict(True)
+    return Verdict(False, (members[best[0]], members[best[1]]))
+
+
+def adjacency_resolved_by_neighborhoods(host, U, S) -> bool:
+    """Equivalent formulation: N(v) & S is distinct for every v in U \\ S.
+    A vertex of U in S is told apart by its own zero entry."""
+    lm = tuple(S)
+    if not lm:
+        raise InputError("landmark set must be nonempty")
+    in_s = set(lm)
+    seen: set[frozenset] = set()
+    for v in U:
+        if v in in_s:
+            continue
+        sig = frozenset(in_s.intersection(host.neighbors(v)))
+        if sig in seen:
+            return False
+        seen.add(sig)
+    return True

