@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .grid import Cell, Col, GridGraph, Row, Vertex, vertex_name
-from .resolve import Verdict, _DuplicateLandmark, _relay_footprint, _relay_verdict
+from .resolve import Verdict, _DuplicateLandmark, _read, _relay_verdict
 
 
 class AuxGraph:
@@ -233,13 +233,13 @@ def build_aux_graph(g: GridGraph, landmarks) -> AuxGraph:
     """Build the auxiliary graph for a landmark set on g.
 
     Landmarks are canonically ordered regardless of input order, so the
-    edge list is byte-for-byte reproducible.  One relay-footprint pass
-    validates them and refuses duplicates, the first fault in input order
-    winning; the hub is refused after that: it has no governing relays, so
-    the construction is undefined for it.
+    edge list is byte-for-byte reproducible.  They are read into points and
+    a relay footprint once; invalid and duplicate landmarks are refused, the
+    first fault in input order winning, and the hub after that: it has no
+    governing relays, so the construction is undefined for it.
     """
     try:
-        relays, cells, degree, hub, _ = _relay_footprint(g, tuple(landmarks))
+        relays, cells, degree, hub, _, _ = _read(g, tuple(landmarks))[1]
     except _DuplicateLandmark as dup:
         raise InputError(f"duplicate landmark {vertex_name(dup.vertex)}") from None
     if hub:

@@ -22,7 +22,7 @@ gives the linear system
 whose solution depends only on (m + n) % 3: remainder 0 tiles everything,
 remainder 1 leaves the last column untouched, remainder 2 additionally puts
 the last row relay itself into the landmark set.  Every constructed set is
-verified with :func:`stargrid.resolve.is_resolving` before it is returned;
+verified from its points before it is returned (see :func:`build_basis`);
 a verification failure is an internal error, never an expected outcome.
 Construction and verification are both O(m + n), so the whole call is.
 """
@@ -33,12 +33,12 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, InputError
 from .grid import Cell, Col, GridGraph, Row, Vertex, check_sides, coordinates
-from .resolve import ResolvingSet, is_resolving
+from .resolve import ResolvingSet, _footprint, _verdict
 
 # The most landmarks :func:`build_basis` constructs.  Building and verifying
-# a basis peaks near 0.34 KB per landmark (traced at (300000, 300000): its
-# vertices, their tuples and the verifier's relay footprint), so this keeps
-# one under 1 GB: square grids up to sides of about 1.9 million.
+# a basis peaks near 0.32 KB per landmark (traced at (300000, 300000): its
+# points, then the verifier's relay footprint or its vertices), so this
+# keeps one near 0.8 GB: square grids up to sides of about 1.9 million.
 MAX_BASIS_LANDMARKS = 2_500_000
 
 
@@ -142,10 +142,10 @@ def build_basis(m: int, n: int) -> ResolvingSet:
 
     The result has exactly dimension(m, n) landmarks, never contains the
     hub, and is deterministic for fixed inputs.  Verification is a hard
-    postcondition: the constructed set is re-checked for code injectivity
-    over every vertex before being handed back.  The check reads only which
-    rows and columns the landmarks touch, so it adds O(m + n) time and
-    memory, and no (m n)-sized array is ever built.  A basis past
+    postcondition: the constructed points are checked for code injectivity
+    over every vertex before any landmark vertex is made.  The check reads
+    only which rows and columns the landmarks touch, so it adds O(m + n)
+    time and memory, and no (m n)-sized array is ever built.  A basis past
     ``MAX_BASIS_LANDMARKS`` landmarks is refused with BudgetError before
     any is built.
     """
@@ -156,20 +156,23 @@ def build_basis(m: int, n: int) -> ResolvingSet:
         )
     reg = regime_of(m, n)
     if reg.normalized:  # point (x, y) of the (n, m) grid is (y, x) of this one
-        landmarks = tuple([_vertex_at(x, y) for y, x in _construct(n, m, reg.tag)])
+        points = [(x, y) for y, x in _construct(n, m, reg.tag)]
     else:
-        landmarks = tuple([_vertex_at(x, y) for x, y in _construct(m, n, reg.tag)])
-    if len(landmarks) != want:
+        points = _construct(m, n, reg.tag)
+    footprint = _footprint(m, n, points)
+    if len(points) != want or not footprint[-1]:
         raise RuntimeError(
-            f"internal error: constructed {len(landmarks)} landmarks for ({m}, {n}), "
-            f"expected {want}"
+            f"internal error: constructed {len(points)} landmarks for ({m}, {n}), "
+            f"expected {want} distinct ones"
         )
-    verdict = is_resolving(GridGraph(m, n), landmarks)
+    verdict = _verdict(GridGraph(m, n), footprint)
+    del footprint  # so that the peak holds the footprint or the vertices, not both
     if not verdict:
         raise RuntimeError(
             f"internal error: constructed set for ({m}, {n}) fails to resolve, "
             f"witness {verdict.witness}"
         )
+    landmarks = tuple([_vertex_at(x, y) for x, y in points])
     return ResolvingSet._distinct(landmarks, True, f"constructed-regime-{reg.tag}")
 
 
@@ -183,8 +186,8 @@ def _vertex_at(x: int, y: int) -> Vertex:
 
 # The constructions below emit landmarks as points (x, y) of the normalized
 # (rows <= columns) grid, with 0 as a star's centre: Cell(i, j) is (i, j),
-# Row(i) is (i, 0) and Col(j) is (0, j).  build_basis makes each vertex once,
-# in the caller's orientation.
+# Row(i) is (i, 0) and Col(j) is (0, j).  build_basis verifies them in the
+# caller's orientation, then makes each vertex once.
 
 
 def _construct(m: int, n: int, tag: str) -> list[tuple[int, int]]:

@@ -18,8 +18,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .grid import GridGraph, Vertex, coordinates, star_distance, vertex_name
-from .resolve import _check_code_size, _ordered_landmarks, _verdict, code_matrix
+from .grid import GridGraph, Vertex, star_distance, vertex_name
+from .resolve import _check_code_size, _code_matrix, _landmark_points, _ordered_landmarks
+from .resolve import _read, _verdict
 
 _METRICS = ("hamming", "l1")
 
@@ -119,7 +120,8 @@ class CodeTable:
     def __init__(self, g: GridGraph, landmarks):
         lm = _ordered_landmarks(g, landmarks)
         _check_code_size(g, len(lm))
-        verdict = _verdict(g, lm)
+        points, footprint = _read(g, lm)
+        verdict = _verdict(g, footprint)
         if not verdict:
             x, y = verdict.witness
             raise InputError(
@@ -128,7 +130,7 @@ class CodeTable:
             )
         self.graph = g
         self.landmarks = lm
-        self.a, self.b = np.array([coordinates(w) for w in lm], dtype=np.intp).T
+        self.a, self.b = np.array(points, dtype=np.intp).T
         self.min_pairwise_l1 = self._min_pairwise_l1()
 
     def __len__(self) -> int:
@@ -138,7 +140,7 @@ class CodeTable:
     def matrix(self) -> np.ndarray:
         """(N, k) int16 codes in canonical vertex order, built on the first
         :func:`decode`; raises BudgetError past ``MAX_TABLE_CELLS``."""
-        return code_matrix(self.graph, self.landmarks).astype(np.int16)
+        return _code_matrix(self.graph, self.a, self.b).astype(np.int16)
 
     @property
     def code_length(self) -> int:
@@ -146,8 +148,7 @@ class CodeTable:
 
     def code_of(self, v: Vertex) -> tuple[int, ...]:
         """v's code, from the star distances of its point."""
-        self.graph.validate(v)
-        x, y = coordinates(v)
+        (x, y), = _landmark_points(self.graph, (v,))
         return tuple((star_distance(x, self.a) + star_distance(y, self.b)).tolist())
 
     def _min_pairwise_l1(self) -> int:

@@ -145,10 +145,10 @@ def bfs_distances(g: GridGraph) -> np.ndarray:
     stays unreached one more level if it and every vertex on its neighbour
     list were unreached (one ``reduceat`` over the lists laid end to end).
     A pair's distance is the number of levels at which it was unreached,
-    and 255 marks a pair that is never reached.  An isolated vertex lists
-    itself, as ``reduceat`` takes no empty list, so it stays unreached from
-    every other source.  The search stops once every pair is reached, so a
-    grid of diameter d takes d levels.
+    and 255 marks a pair never reached, so a pair 255 hops apart is refused
+    with BudgetError.  An isolated vertex lists itself, as ``reduceat``
+    takes no empty list, so it stays unreached from every other source.  The
+    search stops once every pair is reached: a grid of diameter d takes d levels.
     """
     total = g.vertex_count()
     if total > MAX_BFS_VERTICES:
@@ -159,13 +159,17 @@ def bfs_distances(g: GridGraph) -> np.ndarray:
     unreached = ~np.eye(total, dtype=bool)
     table = np.zeros((total, total), dtype=np.uint8)
     left = total * (total - 1)
+    level = 0
     while left:
+        level += 1
         table += unreached.view(np.uint8)
         unreached &= np.logical_and.reduceat(unreached.take(flat, axis=1), starts, axis=1)
         now = np.count_nonzero(unreached)
         if now == left:
             table[unreached] = 255  # the rest is unreachable
             break
+        if level == 255:
+            raise BudgetError("host has a pair 255 hops apart, BFS limit is 254 hops")
         left = now
     return table
 

@@ -12,7 +12,10 @@ footprint (their relay landmarks, their cell landmarks as row/column relay
 pairs, and each relay's degree: the auxiliary graph of
 :mod:`stargrid.auxgraph`) in O(m + n + k) time and memory.  Failed checks
 return a deterministic witness: the first colliding pair in canonical
-vertex order.
+vertex order.  Landmarks become points (x, y) in one place,
+:func:`_landmark_points`, and points become the footprint in one place,
+:func:`_footprint`, which :func:`~stargrid.builder.build_basis` calls on its
+constructed points directly.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ class ResolvingSet:
     """An ordered, duplicate-free landmark list.
 
     ``verified`` is only set by code paths that ran a full resolution check
-    on this exact landmark tuple; code tables still re-check it against
-    their own grid.  ``provenance`` records where the set came from:
-    ``constructed-regime-A/B/C/D``, ``oracle``, or ``user``.
+    on this exact landmark tuple or the points it was made from; code tables
+    still re-check it against their own grid.  ``provenance`` records where
+    the set came from: ``constructed-regime-A/B/C/D``, ``oracle``, or ``user``.
     """
 
     landmarks: tuple[Vertex, ...]
@@ -77,8 +80,8 @@ class ResolvingSet:
     def _distinct(cls, landmarks: tuple[Vertex, ...], verified: bool,
                   provenance: str) -> "ResolvingSet":
         """Build without the duplicate check, for landmarks known distinct:
-        the oracle's strictly increasing index tuples, or a tuple that
-        :func:`is_resolving` has just accepted."""
+        the oracle's strictly increasing index tuples, or a tuple made from
+        points whose relay footprint has just been found distinct."""
         self = object.__new__(cls)
         self.__dict__.update(landmarks=landmarks, verified=verified, provenance=provenance)
         return self
@@ -95,8 +98,8 @@ def _ordered_landmarks(g: GridGraph, W) -> tuple[Vertex, ...]:
 
     Ordered inputs keep their order; plain sets/frozensets are sorted
     canonically so downstream output is deterministic.  Duplicates in an
-    ordered input are left to the caller: :func:`_relay_footprint` refuses
-    them, and a ResolvingSet's constructor has refused them already.
+    ordered input are left to the caller: :func:`_read` refuses them, and a
+    ResolvingSet's constructor has refused them already.
     """
     if isinstance(W, ResolvingSet):
         lm = W.landmarks
@@ -118,31 +121,31 @@ def metric_code(g: GridGraph, v: Vertex, W) -> tuple[int, ...]:
 
 
 def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
-    """(N, k) uint8 matrix of hop distances, rows in canonical vertex order.
+    """(N, k) uint8 matrix of hop distances, rows in canonical vertex order;
+    repeated landmarks are allowed.  With ``landmarks = g.vertices()`` this
+    is the full distance matrix.  Raises :class:`~stargrid.errors.BudgetError`
+    before allocating when the matrix would exceed ``MAX_TABLE_CELLS``.
+    """
+    a, b = np.array(_landmark_points(g, landmarks), dtype=np.intp).reshape(-1, 2).T
+    return _code_matrix(g, a, b)
 
-    A distance is a sum of two star distances (see :mod:`stargrid.grid`), so
+
+def _code_matrix(g: GridGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`code_matrix` of the landmarks at the points (a[i], b[i]).  A
+    distance is a sum of two star distances (see :mod:`stargrid.grid`), so
     the (k, m + 1) and (k, n + 1) star distances of the landmarks to the
     points of each star give every block as a broadcast sum, O(N) per
-    landmark.  With ``landmarks = g.vertices()`` this is the full distance
-    matrix.  Raises :class:`~stargrid.errors.BudgetError` before allocating
-    when the matrix would exceed ``MAX_TABLE_CELLS``.
-    """
+    landmark."""
     m, n = g.m, g.n
     total = g.vertex_count()
-    lm = tuple(landmarks)
-    k = len(lm)
+    k = a.shape[0]
     if total * k > MAX_TABLE_CELLS:
         raise BudgetError(
             f"distance table on ({m}, {n}) needs {total} x {k} = {total * k} cells, "
             f"limit is {MAX_TABLE_CELLS}"
         )
-    points = []
-    for w in lm:
-        g.validate(w)
-        points.append(coordinates(w))
-    xy = np.array(points, dtype=np.intp).reshape(k, 2)
-    rows = star_distance(xy[:, :1], np.arange(m + 1)).view(np.uint8)
-    cols = star_distance(xy[:, 1:], np.arange(n + 1)).view(np.uint8)
+    rows = star_distance(a[:, None], np.arange(m + 1)).view(np.uint8)
+    cols = star_distance(b[:, None], np.arange(n + 1)).view(np.uint8)
     arr = np.empty((k, total), dtype=np.uint8)
     # canonical order is (x, 0) for x = 0..m, (0, y) for y = 1..n, then the
     # cells row-major, whose (k, m, n) reshape is a view of arr
@@ -197,14 +200,14 @@ def is_resolving(g: GridGraph, W) -> Verdict:
     untouched row and column, or a lone landmark cell at (i, j')), and
     relays precede cells in canonical order, so the first colliding pair is
     found among the hub and the relays without scanning cells.  Both
-    searches read only the relay footprint (see :func:`_relay_footprint`).
+    searches read only the relay footprint (see :func:`_footprint`).
     """
-    return _verdict(g, _ordered_landmarks(g, W))
+    return _verdict(g, _read(g, _ordered_landmarks(g, W))[1])
 
 
-def _verdict(g: GridGraph, lm: tuple[Vertex, ...]) -> Verdict:
-    """:func:`is_resolving` on landmarks :func:`_ordered_landmarks` returned."""
-    relays, cells, degree, hub, taken = _relay_footprint(g, lm)
+def _verdict(g: GridGraph, footprint) -> Verdict:
+    """:func:`is_resolving` on a :func:`_footprint` of distinct points."""
+    relays, cells, degree, hub, taken, _ = footprint
     if not hub:
         cell = _hub_partner(g.m, relays, taken, degree)
         if cell is not None:
@@ -220,88 +223,87 @@ class _DuplicateLandmark(InputError):
         self.vertex = vertex
 
 
-def _relay_footprint(g: GridGraph, landmarks: Sequence[Vertex]):
-    """(relay landmarks, cell landmarks, relay degrees, whether the hub is a
-    landmark, the set of cell landmarks) of landmarks on g, in their order.
-
-    Relays are numbered rows 0..m-1, then columns m..m+n-1, so relay r has
-    canonical index r + 1.  A cell landmark is its (row relay, column
-    relay) pair, and a relay's degree counts the landmarks touching it:
-    itself and the cell landmarks in its row or column.
-
-    This is also where landmarks are checked, with one type test each: a
-    ``Row``, ``Col`` or ``Cell`` whose indices are ints in range is read in
-    place, and anything else goes through :meth:`GridGraph.validate`, which
-    keeps its messages.  Duplicates are found from the integers (a repeated
-    relay, a repeated cell pair, a second hub), so no vertex is hashed, and
-    refused with ``_DuplicateLandmark``.  Of several faults, the first in
-    landmark order is raised: the error paths rescan for it.
-    """
+def _landmark_points(g: GridGraph, landmarks: Sequence[Vertex]) -> list[tuple[int, int]]:
+    """The point (x, y) of each landmark on g, in order, repeats kept.  An
+    exact ``Row``, ``Col`` or ``Cell`` with int indices in range is read in
+    place; anything else goes through :meth:`GridGraph.validate`, whose error
+    is raised as it is, and :func:`~stargrid.grid.coordinates`."""
     m, n = g.m, g.n
-    relays: list[int] = []
-    cells: list[tuple[int, int]] = []
-    degree = [0] * (m + n)
-    hubs = 0
-    shift = m - 1  # column j is relay j + shift
+    points: list[tuple[int, int]] = []
+    add = points.append
     for w in landmarks:
         t = type(w)
         if t is Cell:
             x, y = w.i, w.j
             if type(x) is int and type(y) is int and 0 < x <= m and 0 < y <= n:
-                x -= 1
-                y += shift
-                cells.append((x, y))
-                degree[x] += 1
-                degree[y] += 1
+                add((x, y))
                 continue
         elif t is Row:
-            x = w.i
-            if type(x) is int and 0 < x <= m:
-                x -= 1
-                relays.append(x)
-                degree[x] += 1
+            if type(w.i) is int and 0 < w.i <= m:
+                add((w.i, 0))
                 continue
         elif t is Col:
-            y = w.j
-            if type(y) is int and 0 < y <= n:
-                y += shift
-                relays.append(y)
-                degree[y] += 1
+            if type(w.j) is int and 0 < w.j <= n:
+                add((0, w.j))
                 continue
-        # the hub, a Vertex subclass, an int subclass index, or a fault; the
-        # landmarks before w are valid, and their count is w's place
-        try:
-            g.validate(w)
-        except InputError:
-            _refuse_duplicate(g, landmarks[:len(relays) + len(cells) + hubs])
-            raise
-        x, y = coordinates(w)
-        if x and y:
-            x, y = x - 1, y + shift
-            cells.append((x, y))
-            degree[x] += 1
+        g.validate(w)
+        add(coordinates(w))
+    return points
+
+
+def _footprint(m: int, n: int, points):
+    """(relay landmarks, cell landmarks, relay degrees, whether the hub is a
+    landmark, the set of cell landmarks, whether the points are distinct)
+    of landmark points on the (m, n) grid, in their order.  Relays are
+    numbered rows 0..m-1, then columns m..m+n-1, so relay r has canonical
+    index r + 1.  A cell landmark is its (row relay, column relay) pair, and
+    a relay's degree counts the landmarks touching it: itself and the cell
+    landmarks in its row or column.  A repeat shows as a repeated relay, a
+    repeated cell pair or a second hub."""
+    relays: list[int] = []
+    cells: list[tuple[int, int]] = []
+    degree = [0] * (m + n)
+    hubs = 0
+    shift = m - 1  # column j is relay j + shift
+    for x, y in points:
+        if y:
+            y += shift
             degree[y] += 1
-        elif x or y:
-            r = x - 1 if x else y + shift
-            relays.append(r)
-            degree[r] += 1
+            if x:
+                x -= 1
+                cells.append((x, y))
+                degree[x] += 1
+            else:
+                relays.append(y)
+        elif x:
+            x -= 1
+            relays.append(x)
+            degree[x] += 1
         else:
             hubs += 1
     taken = set(cells)
-    if hubs > 1 or len(set(relays)) != len(relays) or len(taken) != len(cells):
-        _refuse_duplicate(g, landmarks)
-    return relays, cells, degree, hubs == 1, taken
+    distinct = hubs < 2 and len(set(relays)) == len(relays) and len(taken) == len(cells)
+    return relays, cells, degree, hubs > 0, taken, distinct
 
 
-def _refuse_duplicate(g: GridGraph, landmarks: Sequence[Vertex]) -> None:
-    """Raise _DuplicateLandmark on the first landmark that repeats an earlier
-    one, by canonical index; every landmark must be valid on g."""
+def _read(g: GridGraph, landmarks: Sequence[Vertex]):
+    """The points and the :func:`_footprint` of landmarks on g.  On a fault,
+    one scan in landmark order raises the first: a landmark that
+    :meth:`GridGraph.index_of` refuses, or a repeat (_DuplicateLandmark)."""
+    try:
+        points = _landmark_points(g, landmarks)
+        footprint = _footprint(g.m, g.n, points)
+        if footprint[-1]:
+            return points, footprint
+    except InputError:
+        pass
     seen: set[int] = set()
     for w in landmarks:
         idx = g.index_of(w)
         if idx in seen:
             raise _DuplicateLandmark(w)
         seen.add(idx)
+    raise RuntimeError("internal error: the landmark scan found no fault")
 
 
 def _hub_partner(m: int, relays, cells: set, degree) -> Cell | None:

@@ -73,12 +73,14 @@ def test_criterion_2_constructive_upper_bound_at_scale():
             for n in range(m, 61):
                 basis = build_basis(m, n)
                 assert basis.verified and len(basis) == dimension(m, n), (m, n)
+                assert is_resolving(GridGraph(m, n), basis), (m, n)
         rnd = random.Random(20260808)
         for _ in range(50):
             n = rnd.randint(1, 500)
             m = rnd.randint(1, n)
             basis = build_basis(m, n)
             assert basis.verified and len(basis) == dimension(m, n), (m, n)
+            assert is_resolving(GridGraph(m, n), basis), (m, n)
 
 
 def test_criterion_3_closed_form_distance_equals_bfs():

@@ -19,7 +19,7 @@ from stargrid import (
     tiling_plan,
     vertex_name,
 )
-from stargrid import builder, grid
+from stargrid import builder, grid, resolve
 
 
 @pytest.mark.parametrize("m,n,want", [
@@ -209,6 +209,35 @@ def test_build_basis_refuses_past_its_landmark_limit(monkeypatch):
     monkeypatch.setattr(builder, "_construct", None)
     with pytest.raises(BudgetError):
         build_basis(4, 5)
+
+
+@pytest.mark.parametrize("points, message", [
+    ([(1, 1), (1, 2), (2, 3), (3, 3)],
+     r"constructed 4 landmarks for \(4, 4\), expected 5 distinct ones$"),
+    ([(1, 0), (2, 0), (3, 0), (4, 0), (0, 1)],
+     r"constructed set for \(4, 4\) fails to resolve, witness \(Col\(j=2\), Col\(j=3\)\)$"),
+    ([(1, 1), (1, 2), (2, 3), (3, 3), (1, 1)],
+     r"constructed 5 landmarks for \(4, 4\), expected 5 distinct ones$"),
+], ids=["short", "not-resolving", "repeated"])
+def test_build_basis_refuses_a_faulty_construction(monkeypatch, points, message):
+    # a fault in the construction is an internal error, never the caller's
+    # InputError
+    monkeypatch.setattr(builder, "_construct", lambda m, n, tag: list(points))
+    with pytest.raises(RuntimeError, match="^internal error: " + message):
+        build_basis(4, 4)
+
+
+def test_build_basis_verifies_its_points_without_reading_vertices(monkeypatch):
+    # the constructed points go straight into the relay footprint, and each
+    # vertex is made once, after the verdict
+    def refuse(*args):
+        raise AssertionError("build_basis read a landmark vertex")
+
+    monkeypatch.setattr(resolve, "_landmark_points", refuse)
+    monkeypatch.setattr(GridGraph, "validate", refuse)
+    for m, n in [(1, 1), (1, 7), (4, 4), (9, 6), (6, 9), (12, 14)]:
+        basis = build_basis(m, n)
+        assert basis.verified and len(basis) == dimension(m, n), (m, n)
 
 
 def test_boundary_double_rows_matches_paired_pattern():

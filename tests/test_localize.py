@@ -28,7 +28,7 @@ from stargrid import (
     parse_vertex,
     simulate,
 )
-from stargrid import localize
+from stargrid import localize, resolve
 from stargrid.grid import coordinates
 
 # Every grid with at most 20 vertices, both orientations.
@@ -390,11 +390,12 @@ def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
     basis = build_basis(m, n)
     picks = list(range(0, g.vertex_count(), 97))
     probes = code_matrix(g, basis.landmarks)[picks]
+    kernel = localize._code_matrix
 
     def refuse(*args):
         raise RuntimeError("code matrix built")
 
-    monkeypatch.setattr(localize, "code_matrix", refuse)
+    monkeypatch.setattr(localize, "_code_matrix", refuse)
     table = code_table(g, basis)
     assert table.code_length == len(basis)
     assert [table.code_of(g.vertex_at(i)) for i in picks] == [tuple(p) for p in probes.tolist()]
@@ -405,11 +406,31 @@ def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return code_matrix(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(localize, "code_matrix", counting)
+    monkeypatch.setattr(localize, "_code_matrix", counting)
     for i, probe in zip(picks, probes):
         assert decode(probe, table, "l1").vertex == g.vertex_at(i)
+    assert len(calls) == 1
+
+
+def test_code_table_and_decode_read_the_landmarks_once(monkeypatch):
+    # the table's one pass over its landmarks gives both the verdict and the
+    # points its matrix is built from
+    g = GridGraph(6, 9)
+    basis = build_basis(6, 9)
+    probe = code_matrix(g, basis.landmarks)[40]
+    calls = []
+    reader = resolve._landmark_points
+
+    def counting(*args):
+        calls.append(args)
+        return reader(*args)
+
+    monkeypatch.setattr(resolve, "_landmark_points", counting)
+    monkeypatch.setattr(localize, "_landmark_points", counting)
+    table = code_table(g, basis)
+    assert decode(probe, table).vertex == g.vertex_at(40)
     assert len(calls) == 1
 
 

@@ -124,6 +124,19 @@ def test_bfs_cap(monkeypatch):
         bfs_distances(SimpleGraph.path(122))
 
 
+def test_bfs_reports_up_to_254_hops_and_refuses_more():
+    # the uint8 table counts levels, and 255 marks an unreachable pair
+    g = SimpleGraph.path(255)
+    got = bfs_distances(g)
+    assert got.max() == 254
+    assert np.array_equal(got, python_bfs_distances(g))
+    with pytest.raises(BudgetError, match="^host has a pair 255 hops apart, BFS limit is 254 hops"):
+        bfs_distances(SimpleGraph.path(256))
+    # a pair never reached is still marked, not refused
+    got = bfs_distances(SimpleGraph(256, [(i, i + 1) for i in range(254)]))
+    assert (got[0, 254], got[0, 255], got[255, 0]) == (254, 255, 255)
+
+
 def test_brute_force_dimension_examples():
     assert brute_force_dimension(GridGraph(1, 1))[0] == 2
     assert brute_force_dimension(GridGraph(3, 3))[0] == 4
