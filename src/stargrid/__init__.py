@@ -25,16 +25,17 @@ from .grid import (
     Hub,
     Row,
     parse_vertex,
-    transpose,
     vertex_name,
 )
 from .localize import (
     CodeTable,
     DecodeResult,
     NoiseModel,
+    code_matrix,
     code_table,
     decode,
     decode_batch,
+    full_distance_matrix,
     simulate,
 )
 from .oracle import (
@@ -51,8 +52,6 @@ from .oracle import (
 from .resolve import (
     ResolvingSet,
     Verdict,
-    code_matrix,
-    full_distance_matrix,
     is_resolving,
     metric_code,
     parse_landmark_lines,
@@ -103,6 +102,5 @@ __all__ = [
     "simulate",
     "structural_audit",
     "tiling_plan",
-    "transpose",
     "vertex_name",
 ]

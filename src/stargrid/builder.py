@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError
-from .grid import Cell, Col, GridGraph, Row, Vertex, check_sides, coordinates
+from .grid import Col, GridGraph, Row, Vertex, check_sides, vertex_at_point
 from .resolve import ResolvingSet, _footprint, _verdict
 
 # The most landmarks :func:`build_basis` constructs.  Building and verifying
@@ -172,16 +172,8 @@ def build_basis(m: int, n: int) -> ResolvingSet:
             f"internal error: constructed set for ({m}, {n}) fails to resolve, "
             f"witness {verdict.witness}"
         )
-    landmarks = tuple([_vertex_at(x, y) for x, y in points])
+    landmarks = tuple([vertex_at_point(x, y) for x, y in points])
     return ResolvingSet._distinct(landmarks, True, f"constructed-regime-{reg.tag}")
-
-
-def _vertex_at(x: int, y: int) -> Vertex:
-    """The vertex at point (x, y) of a grid, 0 being a star's centre (the
-    inverse of :func:`~stargrid.grid.coordinates`); (0, 0) never occurs."""
-    if x and y:
-        return Cell(x, y)
-    return Row(x) if x else Col(y)
 
 
 # The constructions below emit landmarks as points (x, y) of the normalized
@@ -254,5 +246,6 @@ def _tiled(m: int, n: int) -> list[tuple[int, int]]:
         row = 2 * s + j
         out.append((row, s + 2 * j - 1))
         out.append((row, s + 2 * j))
-    out.extend(map(coordinates, plan.singles))
+    if plan.singles:  # r_m
+        out.append((m, 0))
     return out

@@ -23,9 +23,9 @@ from .auxgraph import aux_graph_to_dot, build_aux_graph, classify_components, st
 from .builder import build_basis, dimension, regime_of
 from .errors import BudgetError, InputError
 from .grid import GridGraph, vertex_name
-from .localize import NoiseModel, simulate
+from .localize import NoiseModel, _check_code_size, simulate
 from .oracle import SearchBudget, brute_force_dimension, enumerate_minimum_bases
-from .resolve import _check_code_size, is_resolving, parse_landmark_lines
+from .resolve import is_resolving, parse_landmark_lines
 
 # The most edges `export` builds.  It holds every edge as Python objects
 # before printing; at (200, 200) its peak was about 225 bytes per edge for

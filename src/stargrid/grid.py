@@ -4,7 +4,7 @@ A double-star grid with parameters (m, n) has one hub, m row relays
 ``r1..rm``, n column relays ``c1..cn``, and m*n leaf cells ``a<i>,<j>``.
 The hub is adjacent to every relay, and cell (i, j) is adjacent to exactly
 its row relay i and its column relay j: the grid is the Cartesian product
-K_{1,m} x K_{1,n}.  :func:`coordinates` places the hub at (0, 0), r_i at
+K_{1,m} x K_{1,n}.  :meth:`GridGraph.point` places the hub at (0, 0), r_i at
 (i, 0), c_j at (0, j) and a_{i,j} at (i, j), with 0 each star's centre, and
 hop distances add over the two factors (Hammack, Imrich & Klavzar,
 *Handbook of Product Graphs*, 2011): d = s(x, x') + s(y, y'), where the star
@@ -68,23 +68,6 @@ HUB = Hub()
 _VERTEX_RE = re.compile(r"hub|r([1-9]\d*)|c([1-9]\d*)|a([1-9]\d*),([1-9]\d*)")
 
 
-def transpose(v: Vertex) -> Vertex:
-    """Map a vertex through the (m, n) -> (n, m) grid isomorphism.
-
-    Hub maps to itself, rows and columns swap roles, and cells flip their
-    indices.  Involutive: ``transpose(transpose(v)) == v``.
-    """
-    if isinstance(v, Hub):
-        return HUB
-    if isinstance(v, Row):
-        return Col(v.i)
-    if isinstance(v, Col):
-        return Row(v.j)
-    if isinstance(v, Cell):
-        return Cell(v.j, v.i)
-    raise InputError(f"not a vertex: {v!r}")
-
-
 def vertex_name(v: Vertex) -> str:
     """Text encoding: "hub", "r<i>", "c<j>", or "a<i>,<j>"."""
     if isinstance(v, Hub):
@@ -113,18 +96,14 @@ def parse_vertex(text: str) -> Vertex:
     return HUB
 
 
-def coordinates(v: Vertex) -> tuple[int, int]:
-    """v as a point (x, y) of K_{1,m} x K_{1,n}, 0 being a star's centre.
-    Call it only after :meth:`GridGraph.validate`: ``Row(0)`` reads as the hub."""
-    if isinstance(v, Cell):
-        return v.i, v.j
-    if isinstance(v, Row):
-        return v.i, 0
-    if isinstance(v, Col):
-        return 0, v.j
-    if isinstance(v, Hub):
-        return 0, 0
-    raise InputError(f"not a vertex: {v!r}")
+def vertex_at_point(x: int, y: int) -> Vertex:
+    """The vertex at point (x, y), 0 being a star's centre: the inverse of
+    :meth:`GridGraph.point`."""
+    if x and y:
+        return Cell(x, y)
+    if x:
+        return Row(x)
+    return Col(y) if y else HUB
 
 
 def star_distance(x, y):
@@ -174,45 +153,61 @@ class GridGraph:
         )
         return out
 
-    def validate(self, v: Vertex) -> None:
-        """Raise InputError unless v is a vertex of this grid: the hub, or a
+    def point(self, v: Vertex) -> tuple[int, int]:
+        """v as a point (x, y) of K_{1,m} x K_{1,n}, 0 being a star's centre:
+        the hub is (0, 0), r_i is (i, 0), c_j is (0, j) and a_{i,j} is (i, j).
+
+        Raises InputError unless v is a vertex of this grid: the hub, or a
         relay or cell whose indices are ints (not bools, as in
-        :func:`check_sides`) within the grid's sides."""
+        :func:`check_sides`) within the grid's sides.  Exact ``Cell``,
+        ``Row`` and ``Col`` instances with int indices in range are read in
+        place; anything else, subclasses and faults included, is read through
+        ``isinstance``.
+        """
+        t = type(v)
+        if t is Cell:
+            x, y = v.i, v.j
+            if type(x) is int and type(y) is int and 0 < x <= self.m and 0 < y <= self.n:
+                return x, y
+        elif t is Row:
+            x = v.i
+            if type(x) is int and 0 < x <= self.m:
+                return x, 0
+        elif t is Col:
+            y = v.j
+            if type(y) is int and 0 < y <= self.n:
+                return 0, y
         if isinstance(v, Hub):
-            return
-        if isinstance(v, Row):
-            if type(v.i) is int and 1 <= v.i <= self.m:
-                return
-            indices = ((v.i, self.m),)
+            return 0, 0
+        if isinstance(v, Cell):
+            x, y = v.i, v.j
+            indices = ((x, self.m), (y, self.n))
+        elif isinstance(v, Row):
+            x, y = v.i, 0
+            indices = ((x, self.m),)
         elif isinstance(v, Col):
-            if type(v.j) is int and 1 <= v.j <= self.n:
-                return
-            indices = ((v.j, self.n),)
-        elif isinstance(v, Cell):
-            if type(v.i) is int and type(v.j) is int and 1 <= v.i <= self.m and 1 <= v.j <= self.n:
-                return
-            indices = ((v.i, self.m), (v.j, self.n))
+            x, y = 0, v.j
+            indices = ((y, self.n),)
         else:
             raise InputError(f"not a vertex: {v!r}")
         # refused, unless every index is an int subclass within range
-        for x, side in indices:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError(f"vertex {vertex_name(v)} has a non-integer index {x!r}")
-            if not 1 <= x <= side:
+        for index, side in indices:
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise InputError(f"vertex {vertex_name(v)} has a non-integer index {index!r}")
+            if not 1 <= index <= side:
                 raise InputError(
                     f"vertex {vertex_name(v)} out of range for grid ({self.m}, {self.n})"
                 )
+        return x, y
 
     def index_of(self, v: Vertex) -> int:
         """Position of v in canonical order."""
-        self.validate(v)
-        if isinstance(v, Hub):
-            return 0
-        if isinstance(v, Row):
-            return v.i
-        if isinstance(v, Col):
-            return self.m + v.j
-        return self.m + self.n + (v.i - 1) * self.n + v.j
+        x, y = self.point(v)
+        if not y:  # the hub or row relay x
+            return x
+        if not x:
+            return self.m + y
+        return self.m + self.n + (x - 1) * self.n + y
 
     def vertex_at(self, idx: int) -> Vertex:
         """Inverse of index_of."""
@@ -229,34 +224,18 @@ class GridGraph:
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
         """Adjacent vertices, in canonical order."""
-        self.validate(v)
-        if isinstance(v, Hub):
-            out: list[Vertex] = [Row(i) for i in range(1, self.m + 1)]
-            out.extend(Col(j) for j in range(1, self.n + 1))
-            return out
-        if isinstance(v, Row):
-            return [HUB] + [Cell(v.i, j) for j in range(1, self.n + 1)]
-        if isinstance(v, Col):
-            return [HUB] + [Cell(i, v.j) for i in range(1, self.m + 1)]
-        return [Row(v.i), Col(v.j)]
-
-    def degree(self, v: Vertex) -> int:
-        """Sum of the two star degrees: m (or n) at a centre, 1 at a leaf."""
-        self.validate(v)
-        x, y = coordinates(v)
-        return (self.m if x == 0 else 1) + (self.n if y == 0 else 1)
+        x, y = self.point(v)
+        if x and y:
+            return [Row(x), Col(y)]
+        if x:
+            return [HUB] + [Cell(x, j) for j in range(1, self.n + 1)]
+        if y:
+            return [HUB] + [Cell(i, y) for i in range(1, self.m + 1)]
+        out: list[Vertex] = [Row(i) for i in range(1, self.m + 1)]
+        out.extend(Col(j) for j in range(1, self.n + 1))
+        return out
 
     def distance(self, u: Vertex, v: Vertex) -> int:
         """Hop distance, the sum of the two star distances; symmetric."""
-        self.validate(u)
-        self.validate(v)
-        (x, y), (x2, y2) = coordinates(u), coordinates(v)
+        (x, y), (x2, y2) = self.point(u), self.point(v)
         return star_distance(x, x2) + star_distance(y, y2)
-
-    def is_adjacent(self, u: Vertex, v: Vertex) -> bool:
-        return self.distance(u, v) == 1
-
-    def transposed(self) -> GridGraph:
-        """The (n, m) grid; vertices map through transpose()."""
-        return GridGraph(self.n, self.m)
-

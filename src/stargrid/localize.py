@@ -5,6 +5,10 @@ The sink can then identify a sender from a (possibly perturbed) signature
 by nearest-code lookup.  Ties are surfaced, never broken arbitrarily: a
 localization system has to distinguish "confidently wrong" from
 "ambiguous".
+
+The N x k code matrices live here too (:func:`code_matrix`,
+:func:`full_distance_matrix`), next to the maps between canonical indices
+and points that build and read them.
 """
 
 from __future__ import annotations
@@ -12,15 +16,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .grid import GridGraph, Vertex, star_distance, vertex_name
-from .resolve import _check_code_size, _code_matrix, _landmark_points, _ordered_landmarks
-from .resolve import _read, _verdict
+from .resolve import _ordered_landmarks, _read, _verdict
 
 _METRICS = ("hamming", "l1")
 
@@ -29,6 +32,21 @@ _METRICS = ("hamming", "l1")
 _CHUNK_CELLS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
+
+# The most cells :func:`code_matrix` allocates.  A code table's matrix is
+# built as uint8 and kept as int16, about 3 bytes per cell, so this caps one
+# near 300 MB; the (300, 300) grid's basis table has 36 million cells.  Only
+# :func:`decode` reads a table's matrix, so only it refuses past this cap.
+MAX_TABLE_CELLS = 100_000_000
+
+# The most vertices and landmarks a code table takes (see
+# :func:`_check_code_size`).  Without its matrix a table holds about 8 bytes
+# per vertex, most of them an int64 landmark-count sum over the m x n cells,
+# and a batch decode's cost row takes 4, so this caps a table near 80 MB.
+# A probe's distance to a code is an int32 sum of k entries from 0 to 32767,
+# exact while k * 32767 < 2^31.
+MAX_TABLE_VERTICES = 10_000_000
+MAX_CODE_LENGTH = (2**31 - 1) // 32767
 
 
 @dataclass(frozen=True)
@@ -79,12 +97,11 @@ class CodeTable:
     whatever their ``verified`` flag says, and a set that does not resolve
     it is refused rather than allowed to make decoding silently ambiguous.
     Before that check, grids past ``MAX_TABLE_VERTICES`` vertices and sets
-    past ``MAX_CODE_LENGTH`` landmarks are refused with BudgetError (see
-    :mod:`stargrid.resolve`), as the table's own arrays take O(N + k)
-    memory.  Landmark w sits at the point (a[w], b[w]) (see
-    :func:`~stargrid.grid.coordinates`); codes are read from the star
-    distances of those points, and only :func:`decode` reads the N x k
-    ``matrix``.
+    past ``MAX_CODE_LENGTH`` landmarks are refused with BudgetError, as the
+    table's own arrays take O(N + k) memory.  Landmark w sits at the point
+    (a[w], b[w]) (see :meth:`~stargrid.grid.GridGraph.point`); codes are
+    read from the star distances of those points, and only :func:`decode`
+    reads the N x k ``matrix``.
 
     ``min_pairwise_l1`` is the smallest L1 distance between two codes,
     computed from landmark counts rather than by comparing codes.  Let r_a
@@ -148,7 +165,7 @@ class CodeTable:
 
     def code_of(self, v: Vertex) -> tuple[int, ...]:
         """v's code, from the star distances of its point."""
-        (x, y), = _landmark_points(self.graph, (v,))
+        x, y = self.graph.point(v)
         return tuple((star_distance(x, self.a) + star_distance(y, self.b)).tolist())
 
     def _min_pairwise_l1(self) -> int:
@@ -351,12 +368,74 @@ def _canonical(m: int, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _points(m: int, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The point (x, y) of each canonical index, as :func:`coordinates`."""
+    """The point (x, y) of each canonical index, as :meth:`GridGraph.point`."""
     cell = idx - (m + n + 1)
     is_cell = cell >= 0
     x = np.where(is_cell, cell // n + 1, np.where(idx <= m, idx, 0))
     y = np.where(is_cell, cell % n + 1, np.where(idx > m, idx - m, 0))
     return x, y
+
+
+def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
+    """(N, k) uint8 matrix of hop distances, rows in canonical vertex order;
+    repeated landmarks are allowed.  Raises
+    :class:`~stargrid.errors.BudgetError` before allocating when the matrix
+    would exceed ``MAX_TABLE_CELLS``.
+    """
+    a, b = np.array(list(map(g.point, landmarks)), dtype=np.intp).reshape(-1, 2).T
+    return _code_matrix(g, a, b)
+
+
+def full_distance_matrix(g: GridGraph) -> np.ndarray:
+    """(N, N) closed-form distance matrix in canonical order: the
+    :func:`code_matrix` of every vertex, read from the points of the
+    canonical indices, so an oversized one is refused in O(1)."""
+    total = g.vertex_count()
+    _check_table_cells(g, total)
+    return _code_matrix(g, *_points(g.m, g.n, np.arange(total)))
+
+
+def _check_table_cells(g: GridGraph, k: int) -> None:
+    """Raise BudgetError when an (N, k) distance table on g would pass
+    ``MAX_TABLE_CELLS``."""
+    total = g.vertex_count()
+    if total * k > MAX_TABLE_CELLS:
+        raise BudgetError(
+            f"distance table on ({g.m}, {g.n}) needs {total} x {k} = {total * k} cells, "
+            f"limit is {MAX_TABLE_CELLS}"
+        )
+
+
+def _code_matrix(g: GridGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`code_matrix` of the landmarks at the points (a[i], b[i]).  A
+    distance is a sum of two star distances (see :mod:`stargrid.grid`), so
+    the (k, m + 1) and (k, n + 1) star distances of the landmarks to the
+    points of each star give every block as a broadcast sum, O(N) per
+    landmark."""
+    m, n = g.m, g.n
+    total = g.vertex_count()
+    k = a.shape[0]
+    _check_table_cells(g, k)
+    rows = star_distance(a[:, None], np.arange(m + 1)).view(np.uint8)
+    cols = star_distance(b[:, None], np.arange(n + 1)).view(np.uint8)
+    arr = np.empty((k, total), dtype=np.uint8)
+    # canonical order is (x, 0) for x = 0..m, (0, y) for y = 1..n, then the
+    # cells row-major, whose (k, m, n) reshape is a view of arr
+    np.add(rows, cols[:, :1], out=arr[:, :1 + m])
+    np.add(rows[:, :1], cols[:, 1:], out=arr[:, 1 + m:1 + m + n])
+    np.add(rows[:, 1:, None], cols[:, None, 1:], out=arr[:, 1 + m + n:].reshape(k, m, n))
+    return arr.T
+
+
+def _check_code_size(g: GridGraph, k: int) -> None:
+    """Raise BudgetError when a code table on g with k landmarks would pass
+    ``MAX_TABLE_VERTICES`` or ``MAX_CODE_LENGTH``."""
+    for value, what, limit in ((g.vertex_count(), "vertices", MAX_TABLE_VERTICES),
+                               (k, "landmarks", MAX_CODE_LENGTH)):
+        if value > limit:
+            raise BudgetError(
+                f"code table on ({g.m}, {g.n}) has {value} {what}, limit is {limit}"
+            )
 
 
 def _sum_plan(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,10 +12,11 @@ footprint (their relay landmarks, their cell landmarks as row/column relay
 pairs, and each relay's degree: the auxiliary graph of
 :mod:`stargrid.auxgraph`) in O(m + n + k) time and memory.  Failed checks
 return a deterministic witness: the first colliding pair in canonical
-vertex order.  Landmarks become points (x, y) in one place,
-:func:`_landmark_points`, and points become the footprint in one place,
-:func:`_footprint`, which :func:`~stargrid.builder.build_basis` calls on its
-constructed points directly.
+vertex order.  Landmarks become points (x, y) through
+:meth:`~stargrid.grid.GridGraph.point` alone, and points become the
+footprint in one place, :func:`_footprint`, which
+:func:`~stargrid.builder.build_basis` calls on its constructed points
+directly.
 """
 
 from __future__ import annotations
@@ -23,28 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import BudgetError, InputError
-from .grid import (
-    HUB, Cell, Col, GridGraph, Row, Vertex, coordinates, parse_vertex, star_distance,
-)
-
-# The most cells :func:`code_matrix` allocates.  A code table's matrix is
-# built as uint8 and kept as int16, about 3 bytes per cell, so this caps one
-# near 300 MB; the (300, 300) grid's basis table has 36 million cells.  Only
-# :func:`~stargrid.localize.decode` reads a table's matrix, so only it
-# refuses past this cap.
-MAX_TABLE_CELLS = 100_000_000
-
-# The most vertices and landmarks a code table takes (see
-# :func:`_check_code_size`).  Without its matrix a table holds about 8 bytes
-# per vertex, most of them an int64 landmark-count sum over the m x n cells,
-# and a batch decode's cost row takes 4, so this caps a table near 80 MB.
-# A probe's distance to a code is an int32 sum of k entries from 0 to 32767,
-# exact while k * 32767 < 2^31.
-MAX_TABLE_VERTICES = 10_000_000
-MAX_CODE_LENGTH = (2**31 - 1) // 32767
+from .errors import InputError
+from .grid import HUB, Cell, GridGraph, Vertex, parse_vertex, star_distance
 
 
 @dataclass(frozen=True)
@@ -113,62 +94,11 @@ def _ordered_landmarks(g: GridGraph, W) -> tuple[Vertex, ...]:
 
 
 def metric_code(g: GridGraph, v: Vertex, W) -> tuple[int, ...]:
-    """Hop distances from v to each landmark, in landmark order."""
-    lm = _ordered_landmarks(g, W)
-    if not isinstance(W, ResolvingSet) and len(set(lm)) != len(lm):
-        raise InputError("duplicate landmarks")
-    return tuple(g.distance(v, w) for w in lm)
-
-
-def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
-    """(N, k) uint8 matrix of hop distances, rows in canonical vertex order;
-    repeated landmarks are allowed.  With ``landmarks = g.vertices()`` this
-    is the full distance matrix.  Raises :class:`~stargrid.errors.BudgetError`
-    before allocating when the matrix would exceed ``MAX_TABLE_CELLS``.
-    """
-    a, b = np.array(_landmark_points(g, landmarks), dtype=np.intp).reshape(-1, 2).T
-    return _code_matrix(g, a, b)
-
-
-def _code_matrix(g: GridGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`code_matrix` of the landmarks at the points (a[i], b[i]).  A
-    distance is a sum of two star distances (see :mod:`stargrid.grid`), so
-    the (k, m + 1) and (k, n + 1) star distances of the landmarks to the
-    points of each star give every block as a broadcast sum, O(N) per
-    landmark."""
-    m, n = g.m, g.n
-    total = g.vertex_count()
-    k = a.shape[0]
-    if total * k > MAX_TABLE_CELLS:
-        raise BudgetError(
-            f"distance table on ({m}, {n}) needs {total} x {k} = {total * k} cells, "
-            f"limit is {MAX_TABLE_CELLS}"
-        )
-    rows = star_distance(a[:, None], np.arange(m + 1)).view(np.uint8)
-    cols = star_distance(b[:, None], np.arange(n + 1)).view(np.uint8)
-    arr = np.empty((k, total), dtype=np.uint8)
-    # canonical order is (x, 0) for x = 0..m, (0, y) for y = 1..n, then the
-    # cells row-major, whose (k, m, n) reshape is a view of arr
-    np.add(rows, cols[:, :1], out=arr[:, :1 + m])
-    np.add(rows[:, :1], cols[:, 1:], out=arr[:, 1 + m:1 + m + n])
-    np.add(rows[:, 1:, None], cols[:, None, 1:], out=arr[:, 1 + m + n:].reshape(k, m, n))
-    return arr.T
-
-
-def _check_code_size(g: GridGraph, k: int) -> None:
-    """Raise BudgetError when a code table on g with k landmarks would pass
-    ``MAX_TABLE_VERTICES`` or ``MAX_CODE_LENGTH``."""
-    for value, what, limit in ((g.vertex_count(), "vertices", MAX_TABLE_VERTICES),
-                               (k, "landmarks", MAX_CODE_LENGTH)):
-        if value > limit:
-            raise BudgetError(
-                f"code table on ({g.m}, {g.n}) has {value} {what}, limit is {limit}"
-            )
-
-
-def full_distance_matrix(g: GridGraph) -> np.ndarray:
-    """(N, N) closed-form distance matrix in canonical order."""
-    return code_matrix(g, g.vertices())
+    """Hop distances from v to each landmark, in landmark order.  The
+    landmarks are read and refused as in :func:`is_resolving`, then v."""
+    points = _read(g, _ordered_landmarks(g, W))[0]
+    x, y = g.point(v)
+    return tuple(star_distance(x, a) + star_distance(y, b) for a, b in points)
 
 
 def is_resolving(g: GridGraph, W) -> Verdict:
@@ -223,34 +153,6 @@ class _DuplicateLandmark(InputError):
         self.vertex = vertex
 
 
-def _landmark_points(g: GridGraph, landmarks: Sequence[Vertex]) -> list[tuple[int, int]]:
-    """The point (x, y) of each landmark on g, in order, repeats kept.  An
-    exact ``Row``, ``Col`` or ``Cell`` with int indices in range is read in
-    place; anything else goes through :meth:`GridGraph.validate`, whose error
-    is raised as it is, and :func:`~stargrid.grid.coordinates`."""
-    m, n = g.m, g.n
-    points: list[tuple[int, int]] = []
-    add = points.append
-    for w in landmarks:
-        t = type(w)
-        if t is Cell:
-            x, y = w.i, w.j
-            if type(x) is int and type(y) is int and 0 < x <= m and 0 < y <= n:
-                add((x, y))
-                continue
-        elif t is Row:
-            if type(w.i) is int and 0 < w.i <= m:
-                add((w.i, 0))
-                continue
-        elif t is Col:
-            if type(w.j) is int and 0 < w.j <= n:
-                add((0, w.j))
-                continue
-        g.validate(w)
-        add(coordinates(w))
-    return points
-
-
 def _footprint(m: int, n: int, points):
     """(relay landmarks, cell landmarks, relay degrees, whether the hub is a
     landmark, the set of cell landmarks, whether the points are distinct)
@@ -291,7 +193,7 @@ def _read(g: GridGraph, landmarks: Sequence[Vertex]):
     one scan in landmark order raises the first: a landmark that
     :meth:`GridGraph.index_of` refuses, or a repeat (_DuplicateLandmark)."""
     try:
-        points = _landmark_points(g, landmarks)
+        points = list(map(g.point, landmarks))
         footprint = _footprint(g.m, g.n, points)
         if footprint[-1]:
             return points, footprint

@@ -36,6 +36,10 @@ form of :func:`stargrid.decode` that :func:`stargrid.decode_batch` avoids.
 before it ran union-find over relay indices: a breadth-first search over
 the auxiliary graph's integer vertices, read through its public
 ``vertices()``, ``right`` and ``neighbors``.
+
+:func:`transpose` is the (m, n) -> (n, m) grid isomorphism on vertex
+objects, which :func:`stargrid.build_basis` once applied to the bases of
+swapped grids; it now makes each vertex in the caller's orientation.
 """
 
 import itertools
@@ -43,7 +47,9 @@ from collections import deque
 
 import numpy as np
 
-from stargrid import ComponentReport, GridGraph, InputError, Verdict, code_matrix
+from stargrid import (
+    HUB, Cell, Col, ComponentReport, GridGraph, Hub, InputError, Row, Verdict, code_matrix,
+)
 
 
 def sort_is_resolving(g: GridGraph, landmarks) -> Verdict:
@@ -231,3 +237,18 @@ def adjacency_resolved_by_neighborhoods(host, U, S) -> bool:
             return False
         seen.add(sig)
     return True
+
+
+def transpose(v):
+    """Map a vertex through the (m, n) -> (n, m) grid isomorphism: the hub
+    maps to itself, rows and columns swap roles, and cells flip their
+    indices.  Involutive: ``transpose(transpose(v)) == v``."""
+    if isinstance(v, Hub):
+        return HUB
+    if isinstance(v, Row):
+        return Col(v.i)
+    if isinstance(v, Col):
+        return Row(v.j)
+    if isinstance(v, Cell):
+        return Cell(v.j, v.i)
+    raise InputError(f"not a vertex: {v!r}")

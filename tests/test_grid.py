@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import transpose
 from stargrid import (
     HUB,
     Cell,
@@ -12,9 +13,10 @@ from stargrid import (
     bfs_distances,
     full_distance_matrix,
     parse_vertex,
-    transpose,
     vertex_name,
 )
+from stargrid import localize
+from stargrid.grid import vertex_at_point
 
 
 def test_vertex_count_examples():
@@ -47,14 +49,25 @@ def test_vertices_canonical_order():
 
 
 def test_index_roundtrip():
-    g = GridGraph(3, 5)
-    for idx, v in enumerate(g.vertices()):
-        assert g.index_of(v) == idx
-        assert g.vertex_at(idx) == v
-    with pytest.raises(InputError):
-        g.vertex_at(g.vertex_count())
-    with pytest.raises(InputError):
-        g.vertex_at(-1)
+    # point, index_of, vertex_at and vertex_at_point agree on every vertex,
+    # and so do localize's array maps between canonical indices and points
+    for m, n in [(1, 1), (1, 7), (4, 4), (3, 5), (9, 6)]:
+        g = GridGraph(m, n)
+        points = []
+        for idx, v in enumerate(g.vertices()):
+            assert g.index_of(v) == idx, (m, n)
+            assert g.vertex_at(idx) == v, (m, n)
+            x, y = g.point(v)
+            assert vertex_at_point(x, y) == v, (m, n)
+            points.append((x, y))
+        assert len(set(points)) == g.vertex_count(), (m, n)
+        x, y = localize._points(m, n, np.arange(g.vertex_count()))
+        assert list(zip(x.tolist(), y.tolist())) == points, (m, n)
+        assert localize._canonical(m, n, x, y).tolist() == list(range(g.vertex_count())), (m, n)
+        with pytest.raises(InputError):
+            g.vertex_at(g.vertex_count())
+        with pytest.raises(InputError):
+            g.vertex_at(-1)
 
 
 def test_neighbors_and_degrees():
@@ -64,9 +77,9 @@ def test_neighbors_and_degrees():
     assert len(hub_nbrs) == 7  # m + n
     assert g.neighbors(Cell(2, 3)) == [Row(2), Col(3)]
     assert g.neighbors(Row(2)) == [HUB, Cell(2, 1), Cell(2, 2), Cell(2, 3), Cell(2, 4)]
-    assert g.degree(Row(2)) == 5  # n + 1
-    assert g.degree(Col(1)) == 4  # m + 1
-    assert g.degree(Cell(1, 1)) == 2
+    assert len(g.neighbors(Row(2))) == 5  # n + 1
+    assert len(g.neighbors(Col(1))) == 4  # m + 1
+    assert len(g.neighbors(Cell(1, 1))) == 2
 
 
 def test_neighbors_rejects_out_of_range():
@@ -75,14 +88,14 @@ def test_neighbors_rejects_out_of_range():
         g.neighbors(Row(3))
     with pytest.raises(InputError):
         g.distance(HUB, Cell(1, 3))
-    # index 0 is a star's centre in coordinates(): Row(0) must not read as the hub
+    # index 0 is a star's centre in a point: Row(0) must not read as the hub
     for bad in (Row(0), Col(0), Cell(0, 1), Cell(1, 0)):
         with pytest.raises(InputError, match="out of range"):
             g.distance(HUB, bad)
         with pytest.raises(InputError, match="out of range"):
             g.distance(bad, Cell(1, 1))
         with pytest.raises(InputError, match="out of range"):
-            g.degree(bad)
+            g.point(bad)
     with pytest.raises(InputError):
         GridGraph(0, 3)
     with pytest.raises(InputError):
@@ -96,13 +109,14 @@ def test_validate_refuses_non_integer_indices():
     for bad, index in ((Cell(1.5, 2), 1.5), (Cell(2, 2.0), 2.0), (Row(1.0), 1.0),
                        (Col(True), True), (Row(np.int64(2)), np.int64(2)), (Col("1"), "1")):
         message = f"vertex {vertex_name(bad)} has a non-integer index {index!r}"
-        for check in (g.validate, g.index_of, g.degree, g.neighbors):
+        for check in (g.point, g.index_of, g.neighbors, lambda v: g.distance(v, HUB),
+                      lambda v: g.distance(Cell(1, 1), v)):
             with pytest.raises(InputError) as exc:
                 check(bad)
             assert str(exc.value) == message
     # an out-of-range index is named as such, whatever the other index is
     with pytest.raises(InputError, match="^vertex a9,1.5 out of range for grid"):
-        g.validate(Cell(9, 1.5))
+        g.point(Cell(9, 1.5))
     # an int subclass other than bool is an int
     class Index(int):
         pass
@@ -132,10 +146,9 @@ def test_pairwise_metric_matches_bfs(m):
         bfs = bfs_distances(g)
         verts = g.vertices()
         for a, u in enumerate(verts):
-            assert g.degree(u) == len(g.neighbors(u)), (m, n, u)
             for b, v in enumerate(verts):
                 assert g.distance(u, v) == bfs[a, b], (m, n, u, v)
-                assert g.is_adjacent(u, v) == (bfs[a, b] == 1), (m, n, u, v)
+            assert g.neighbors(u) == [v for v in verts if g.distance(u, v) == 1], (m, n, u)
 
 
 def test_distance_matches_bfs_small():
@@ -166,18 +179,9 @@ def test_distance_parity_classes():
         assert (d[~same_class] % 2 == 1).all()
 
 
-def test_transpose_examples_and_involution():
-    assert transpose(Row(3)) == Col(3)
-    assert transpose(Cell(2, 5)) == Cell(5, 2)
-    assert transpose(HUB) == HUB
-    g = GridGraph(3, 4)
-    for v in g.vertices():
-        assert transpose(transpose(v)) == v
-
-
 def test_transpose_is_isomorphism():
     g = GridGraph(3, 5)
-    gt = g.transposed()
+    gt = GridGraph(5, 3)
     for u in g.vertices():
         for v in g.vertices():
             assert g.distance(u, v) == gt.distance(transpose(u), transpose(v))

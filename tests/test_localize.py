@@ -28,8 +28,7 @@ from stargrid import (
     parse_vertex,
     simulate,
 )
-from stargrid import localize, resolve
-from stargrid.grid import coordinates
+from stargrid import localize
 
 # Every grid with at most 20 vertices, both orientations.
 SMALL_GRIDS = [(m, n) for m in range(1, 10) for n in range(1, 10) if (m + 1) * (n + 1) <= 20]
@@ -416,22 +415,23 @@ def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
 
 def test_code_table_and_decode_read_the_landmarks_once(monkeypatch):
     # the table's one pass over its landmarks gives both the verdict and the
-    # points its matrix is built from
+    # points its matrix is built from; decode reads no vertex
     g = GridGraph(6, 9)
     basis = build_basis(6, 9)
     probe = code_matrix(g, basis.landmarks)[40]
     calls = []
-    reader = resolve._landmark_points
+    reader = GridGraph.point
 
-    def counting(*args):
-        calls.append(args)
-        return reader(*args)
+    def counting(self, v):
+        calls.append(v)
+        return reader(self, v)
 
-    monkeypatch.setattr(resolve, "_landmark_points", counting)
-    monkeypatch.setattr(localize, "_landmark_points", counting)
+    monkeypatch.setattr(GridGraph, "point", counting)
     table = code_table(g, basis)
+    assert calls == list(basis.landmarks)
+    calls.clear()
     assert decode(probe, table).vertex == g.vertex_at(40)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_decode_refuses_an_oversized_matrix():
@@ -544,7 +544,7 @@ def _drawn(g, landmarks, noise, first_trial, trials):
 
 def _point_vertex(g, point):
     x, y = divmod(int(point), g.n + 1)
-    return next(v for v in g.vertices() if coordinates(v) == (x, y))
+    return next(v for v in g.vertices() if g.point(v) == (x, y))
 
 
 @pytest.mark.parametrize("m,n,extra", [

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,22 @@ def test_code_matrix_refuses_oversized_table():
     assert code_matrix(GridGraph(99, 99), [HUB]).shape == (10000, 1)
 
 
+def test_full_distance_matrix_refuses_without_making_vertices(monkeypatch):
+    # the N x N size is checked before any point is read, and the points
+    # come from the canonical indices, not from vertex objects
+    def refuse(self):
+        raise AssertionError("full_distance_matrix made the vertex list")
+
+    g = GridGraph(4, 6)
+    bfs = bfs_distances(g)
+    monkeypatch.setattr(GridGraph, "vertices", refuse)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"1002001 x 1002001 = \d+ cells, limit is 100000000"):
+        full_distance_matrix(GridGraph(1000, 1000))
+    assert time.perf_counter() - start < 0.1
+    assert np.array_equal(full_distance_matrix(g), bfs)
+
+
 # Each entry point that checks a landmark set against a grid, as f(g, W).
 # ResolvingSet refuses duplicates itself and leaves the rest to the grid
 # check, here code_table's, whatever its verified flag says.
@@ -387,14 +404,12 @@ def test_first_fault_in_landmark_order_wins():
     out_of_range = "vertex a9,9 out of range for grid (3, 3)"
     for entry in ("is_resolving", "code_table", "ResolvingSet"):
         assert _refusal(entry, [Row(1), Row(1), Cell(9, 9)], g) == DUPLICATE_MESSAGE[entry]
-    for entry in ("is_resolving", "code_table"):
+    for entry in ("is_resolving", "code_table", "metric_code"):
         assert _refusal(entry, [Cell(9, 9), Row(1), Row(1)], g) == out_of_range
         assert _refusal(entry, [Row(1), "x", Row(1)], g) == "not a vertex: 'x'"
     # the ResolvingSet constructor refuses duplicates before any grid check
     assert _refusal("ResolvingSet", [Cell(9, 9), Row(1), Row(1)], g) == DUPLICATE_MESSAGE[
         "ResolvingSet"]
-    # metric_code refuses duplicates before it reads any landmark
-    assert _refusal("metric_code", [Cell(9, 9), Row(1), Row(1)], g) == "duplicate landmarks"
     # build_aux_graph: invalid and duplicate landmarks in order, then the hub
     hub = "the hub cannot appear in an auxiliary-graph landmark set"
     assert _refusal("build_aux_graph", [Row(1), Row(1), Cell(9, 9)], g) == "duplicate landmark r1"
@@ -406,26 +421,9 @@ def test_first_fault_in_landmark_order_wins():
     assert _refusal("build_aux_graph", [Row(1), HUB, Col(1)], g) == hub
 
 
-def test_valid_landmarks_are_checked_without_validate(monkeypatch):
-    # the relay footprint reads exact Row, Col and Cell landmarks in place
-    calls = []
-    real = GridGraph.validate
-    monkeypatch.setattr(GridGraph, "validate", lambda g, v: calls.append(v) or real(g, v))
-    for m, n in [(1, 1), (1, 7), (3, 8), (4, 4), (9, 6), (12, 14)]:
-        g = GridGraph(m, n)
-        landmarks = build_basis(m, n).landmarks
-        calls.clear()
-        assert is_resolving(g, list(landmarks))
-        build_aux_graph(g, landmarks)
-        assert calls == []
-    # the hub is the one valid landmark that takes the slow path
-    is_resolving(GridGraph(2, 2), [HUB, Row(1), Cell(2, 2)])
-    assert calls == [HUB]
-
-
 def test_footprint_reads_subclass_landmarks_like_their_base():
-    # int subclass indices and Vertex subclasses are valid; the relay
-    # footprint reads them through validate and coordinates
+    # int subclass indices and Vertex subclasses are valid; GridGraph.point
+    # reads them on its isinstance path
     class Index(int):
         pass
 
