@@ -55,8 +55,9 @@ class AuxGraph:
     As a host for :func:`stargrid.oracle.brute_force_adjacency_dimension`
     it is a plain integer graph on k + m + n vertices: vertex i < k is the
     primed copy of ``landmarks[i]`` (``left``), and vertex k + r is relay r
-    (``right``).  ``index_of`` is the identity, and ``neighbors`` reads one
-    adjacency list, built on first request and kept.  Build instances with
+    (``right``).  ``adjacency()``, the oracle's read, returns every vertex's
+    neighbour list, built on first request and kept; ``neighbors`` reads one
+    list of it, and ``index_of`` is the identity.  Build instances with
     :func:`build_aux_graph`.
     """
 
@@ -103,6 +104,11 @@ class AuxGraph:
         if v not in self.vertices():
             raise InputError(f"vertex {v!r} not in auxiliary graph")
         return self._adjacency[v]
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's neighbours in increasing order, vertices in index
+        order: the lists ``neighbors`` reads."""
+        return self._adjacency
 
     @functools.cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification answered "no", 2 usage or input
-error, 3 search budget exceeded.  Data goes to stdout (or --out for
-sweeps); diagnostics go to stderr.
+error, 3 search budget exceeded, 141 (128 + SIGPIPE) stdout closed by its
+reader, as when piped into ``head``, with nothing on stderr.  Data goes to
+stdout (or --out for sweeps); diagnostics go to stderr.
 
 The argument parser is built on the first :func:`main` call and reused by
 every later call in the process, so each subcommand's handler is bound
@@ -17,6 +18,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .auxgraph import aux_graph_to_dot, build_aux_graph, classify_components, structural_audit
@@ -27,9 +29,10 @@ from .localize import NoiseModel, _check_code_size, simulate
 from .oracle import SearchBudget, brute_force_dimension, enumerate_minimum_bases
 from .resolve import is_resolving, parse_landmark_lines
 
-# The most edges `export` builds.  It holds every edge as Python objects
-# before printing; at (200, 200) its peak was about 225 bytes per edge for
-# edgelist and 422 for json, so this keeps a json export near 1 GB.
+# The most edges `export` builds.  It holds every edge as a pair of vertex
+# names before printing; at (200, 200) its peak (tracemalloc, output
+# included) was about 190 bytes per edge for edgelist and 235 for json, so
+# this keeps a json export near 600 MB.
 MAX_EXPORT_EDGES = 2_400_000
 
 # The most rows `sweep` writes.  It writes each row as it makes it, so its
@@ -172,26 +175,22 @@ def _cmd_export(args) -> int:
         raise BudgetError(
             f"export of ({g.m}, {g.n}) has {edge_count} edges, limit is {MAX_EXPORT_EDGES}"
         )
-    verts = g.vertices()
-    edges = []
-    for v in verts:
-        vi = g.index_of(v)
-        for w in g.neighbors(v):
-            if g.index_of(w) > vi:
-                edges.append((v, w))
+    names = [vertex_name(v) for v in g.vertices()]
+    # each edge once, from its end with the lower index
+    edges = [(names[v], names[w]) for v, near in enumerate(g.adjacency()) for w in near if w > v]
     if args.format == "edgelist":
-        print("\n".join(f"{vertex_name(u)} {vertex_name(w)}" for u, w in edges))
+        print("\n".join(f"{u} {w}" for u, w in edges))
     elif args.format == "dot":
         lines = ["graph grid {", f"  graph [m={g.m}, n={g.n}];"]
-        lines.extend(f'  "{vertex_name(u)}" -- "{vertex_name(w)}";' for u, w in edges)
+        lines.extend(f'  "{u}" -- "{w}";' for u, w in edges)
         lines.append("}")
         print("\n".join(lines))
     else:
         print(json.dumps({
             "m": g.m,
             "n": g.n,
-            "vertices": [vertex_name(v) for v in verts],
-            "edges": [[vertex_name(u), vertex_name(w)] for u, w in edges],
+            "vertices": names,
+            "edges": edges,
         }))
     return 0
 
@@ -256,6 +255,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at the null device, so that no later
+    flush of what is still buffered, the interpreter's last one included,
+    writes to the closed pipe again.  A stdout without a descriptor has no
+    pipe to mend."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -270,6 +283,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

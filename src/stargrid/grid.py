@@ -10,8 +10,13 @@ hop distances add over the two factors (Hammack, Imrich & Klavzar,
 *Handbook of Product Graphs*, 2011): d = s(x, x') + s(y, y'), where the star
 distance s (:func:`star_distance`) is 0 for one point, 1 when either is the
 centre and 2 otherwise.  So the graph is the pair (m, n) alone and never
-materializes adjacency on the query path.  By vertex kind (u != v), with
-diameter 4 as soon as the grid has more than one relay on a side:
+materializes adjacency on the query path.  The edges are listed only on
+request, for the brute-force oracle (which must not read the closed form)
+and the CLI's ``export``: :meth:`GridGraph.adjacency` gives every vertex's
+neighbour indices in index order, by arithmetic on (m, n) and without
+vertex objects, as :meth:`GridGraph.neighbors` gives one vertex's
+neighbours.  By vertex kind (u != v), with diameter 4 as soon as the grid
+has more than one relay on a side:
 
     ==========  =====  =====  =====  ==================================
     d(u, v)     Hub    Row i  Col j  Cell (i, j)
@@ -233,6 +238,19 @@ class GridGraph:
             return [HUB] + [Cell(i, y) for i in range(1, self.m + 1)]
         out: list[Vertex] = [Row(i) for i in range(1, self.m + 1)]
         out.extend(Col(j) for j in range(1, self.n + 1))
+        return out
+
+    def adjacency(self) -> list[list[int]]:
+        """Each vertex's neighbour indices in index order, vertices in
+        canonical order: ``[[index_of(w) for w in neighbors(v)] for v in
+        vertices()]``, built by index arithmetic without vertex objects."""
+        m, n = self.m, self.n
+        base = 1 + m + n  # index of cell (1, 1)
+        stop = base + m * n
+        out = [list(range(1, base))]
+        out.extend([0, *range(base + (i - 1) * n, base + i * n)] for i in range(1, m + 1))
+        out.extend([0, *range(base + j - 1, stop, n)] for j in range(1, n + 1))
+        out.extend([i, m + j] for i in range(1, m + 1) for j in range(1, n + 1))
         return out
 
     def distance(self, u: Vertex, v: Vertex) -> int:

@@ -3,7 +3,12 @@
 Everything here works from the explicit neighbor lists (breadth-first-search
 distances, or for the adjacency search the lists alone), never from the
 closed-form metric, so results can be used to validate the closed forms
-and the constructed landmark sets.
+and the constructed landmark sets.  A host is read through two methods:
+``vertex_count()``, and ``adjacency()``, which lists each vertex's
+neighbour indices, vertices in index order.  :class:`~stargrid.grid.GridGraph`,
+:class:`SimpleGraph` and :class:`~stargrid.auxgraph.AuxGraph` are hosts;
+a search names its hits by index, and only the grid searches turn indices
+into vertices, with ``vertex_at`` or ``vertices()``.
 
 One subset scan serves every search -- the dimension, minimum-basis
 enumeration, hub-free and adjacency-dimension searches.  Each search turns
@@ -20,7 +25,9 @@ OR-ing a fixed head of k - r indices into a tail of that table, which ORs
 the hit words as well.  Blocks start small and grow 4x, so a first-hit
 search stops early.  Stage 1 keeps the candidates whose hit word is full,
 one compare each; it rejects almost all of them.  Stage 2 tests the
-survivors against the remaining pairs with numpy, hardest first.  On one
+survivors against the remaining pairs with numpy, hardest first.  The
+scan hands over each block's resolving subsets as one (hits, k) array of
+indices, so no per-subset Python runs until a caller asks for one.  On one
 2.0 GHz Xeon core, enumerating all 27 million 7-subsets of the (5, 6)
 grid's 42 vertices takes about 1.0 s, and the (5, 6) dimension search,
 which first rules out the 6.2 million smaller subsets, about 0.2 s.
@@ -130,13 +137,17 @@ class SimpleGraph:
     def neighbors(self, v: int) -> list[int]:
         return sorted(self._adj[v])
 
+    def adjacency(self) -> list[list[int]]:
+        return [sorted(near) for near in self._adj]
+
     def index_of(self, v: int) -> int:
         return v
 
 
 def bfs_distances(g: GridGraph) -> np.ndarray:
-    """All-pairs hop counts by BFS over ``g.neighbors`` only, each neighbour
-    numbered by ``g.index_of``.
+    """All-pairs hop counts by BFS over the host's edge lists only: it reads
+    ``g.vertex_count()`` and ``g.adjacency()``, each vertex's neighbour
+    indices.
 
     Returns an (N, N) uint8 table in canonical vertex order.  Refuses
     hosts with more than ``MAX_BFS_VERTICES`` vertices, from
@@ -153,8 +164,8 @@ def bfs_distances(g: GridGraph) -> np.ndarray:
     total = g.vertex_count()
     if total > MAX_BFS_VERTICES:
         raise BudgetError(f"grid has {total} vertices, BFS cap is {MAX_BFS_VERTICES}")
-    lists = [g.neighbors(v) or [v] for v in g.vertices()]
-    flat = np.array(list(map(g.index_of, itertools.chain.from_iterable(lists))), dtype=np.intp)
+    lists = [near or (v,) for v, near in enumerate(g.adjacency())]
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp)
     starts = np.array([0, *itertools.accumulate(map(len, lists[:-1]))])
     unreached = ~np.eye(total, dtype=bool)
     table = np.zeros((total, total), dtype=np.uint8)
@@ -204,7 +215,12 @@ def _pair_masks(dist: np.ndarray) -> np.ndarray:
     words = -(-total // 64)
     pairs = total * (total - 1) // 2
     _check_pair_mask_size(total)
-    xs, ys = np.triu_indices(total, 1)
+    # the pairs x < y in row-major order: row x holds y = x + 1..N-1, from
+    # pair x * (2N - 1 - x) / 2 on
+    lengths = np.arange(total - 1, -1, -1)
+    xs = np.repeat(np.arange(total), lengths)
+    shift = np.arange(1, total + 1) - np.arange(total) * (lengths + total) // 2
+    ys = np.arange(pairs) + np.repeat(shift, lengths)
     step = max(1, _MASK_BOOLS // max(1, total))
     blocks = [slice(lo, lo + step) for lo in range(0, pairs, step)]
     counts = np.empty(pairs, dtype=np.uint32)
@@ -278,7 +294,9 @@ class _SubsetScan:
         return self._tables[r - 1]
 
     def resolving(self, k: int):
-        """Yield each resolving k-subset as a tuple of indices.
+        """Yield the resolving k-subsets, one (hits, k) integer array per
+        block that has any: each row a subset's indices in increasing order,
+        the rows of all arrays together in lexicographic order.
 
         Stage 1 keeps the candidates of a block whose hit word is full.
         Stage 2 tests the survivors against the remaining pairs,
@@ -300,8 +318,7 @@ class _SubsetScan:
             if cand.shape[1]:
                 rows_le = np.ascontiguousarray(cand.T).view(np.uint8)
                 bits = np.unpackbits(rows_le, axis=1, bitorder="little")
-                for combo in np.nonzero(bits)[1].reshape(-1, k).tolist():
-                    yield tuple(combo)
+                yield np.nonzero(bits)[1].reshape(-1, k)
 
     def _blocks(self, k: int):
         """The k-subsets' masks and hit words, in blocks whose concatenation
@@ -379,9 +396,9 @@ def _smallest_resolving(table: np.ndarray, budget: SearchBudget,
     for k in range(start, total + 1):
         planned += comb(total, k)
         _gate(budget, planned, f"{context} at size {k}")
-        combo = next(scan.resolving(k), None)
-        if combo is not None:
-            return combo
+        hits = next(scan.resolving(k), None)
+        if hits is not None:
+            return tuple(hits[0].tolist())
     raise InputError(f"{context} needs a host with at least one vertex")
 
 
@@ -410,10 +427,11 @@ def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDG
     _check_int(k, 1, "subset size")
     total = g.vertex_count()
     _gate(budget, comb(total, k), f"basis enumeration on ({g.m}, {g.n}) at size {k}")
-    verts = g.vertices()
-    # the scan's index tuples are strictly increasing, so no landmark repeats
-    for combo in _SubsetScan(range(total), _pair_masks(bfs_distances(g))).resolving(k):
-        yield ResolvingSet._distinct(tuple([verts[i] for i in combo]), True, "oracle")
+    verts = np.array(g.vertices(), dtype=object)
+    # the scan's index rows are strictly increasing, so no landmark repeats
+    for hits in _SubsetScan(range(total), _pair_masks(bfs_distances(g))).resolving(k):
+        for combo in verts[hits].tolist():
+            yield ResolvingSet._distinct(tuple(combo), True, "oracle")
 
 
 def enumerate_minimum_bases(
@@ -433,13 +451,13 @@ def brute_force_adjacency_dimension(host, budget: SearchBudget = DEFAULT_BUDGET)
 
     Convention: the empty set never counts, so a one-vertex host has
     adjacency dimension 1.  Hosts are read as :func:`bfs_distances` reads
-    them, through ``vertex_count()``, ``vertices()``, ``neighbors`` and
-    ``index_of``.  The search runs on the truncated table (0 on the
-    diagonal, 1 for adjacent, 2 otherwise): S separates x and y exactly
-    when S meets {x, y} or the symmetric difference of their
-    neighborhoods, which are the columns where the two truncated rows
-    differ.  A host whose pair masks would pass ``MAX_PAIR_MASK_BYTES`` is
-    refused from ``vertex_count()`` alone, before the table is built.
+    them, through ``vertex_count()`` and ``adjacency()``.  The search runs
+    on the truncated table (0 on the diagonal, 1 for adjacent, 2
+    otherwise): S separates x and y exactly when S meets {x, y} or the
+    symmetric difference of their neighborhoods, which are the columns
+    where the two truncated rows differ.  A host whose pair masks would
+    pass ``MAX_PAIR_MASK_BYTES`` is refused from ``vertex_count()`` alone,
+    before the table is built.
     """
     _check_pair_mask_size(host.vertex_count())
     combo = _smallest_resolving(_adjacency_table(host), budget, "adjacency-dimension search")
@@ -447,16 +465,16 @@ def brute_force_adjacency_dimension(host, budget: SearchBudget = DEFAULT_BUDGET)
 
 
 def _adjacency_table(host) -> np.ndarray:
-    """The host's distances truncated at 2, in ``host.vertices()`` order.
+    """The host's distances truncated at 2, in index order.
 
-    Each vertex's neighbour list, numbered by ``index_of``, is scattered
-    into its row; no BFS runs, as its levels would follow the diameter.
+    It reads ``host.vertex_count()`` and ``host.adjacency()``, and scatters
+    each vertex's neighbour indices into its row; no BFS runs, as its
+    levels would follow the diameter.
     """
     total = host.vertex_count()
-    lists = [host.neighbors(v) for v in host.vertices()]
+    lists = host.adjacency()
     rows = np.repeat(np.arange(total), [len(near) for near in lists])
-    cols = np.fromiter(map(host.index_of, itertools.chain.from_iterable(lists)),
-                       dtype=np.intp, count=len(rows))
+    cols = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=len(rows))
     table = np.full((total, total), 2, dtype=np.uint8)
     table[rows, cols] = 1
     np.fill_diagonal(table, 0)

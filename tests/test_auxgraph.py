@@ -336,6 +336,34 @@ def test_every_minimum_basis_matches_references(m, n):
     assert count > 0
 
 
+def _assert_adjacency_matches_neighbors(aux):
+    got = aux.adjacency()
+    assert [list(near) for near in got] == [
+        [aux.index_of(w) for w in aux.neighbors(v)] for v in aux.vertices()]
+    assert all(list(near) == sorted(near) for near in got)
+
+
+def test_adjacency_matches_neighbors_on_every_minimum_basis():
+    g = GridGraph(4, 4)
+    bases = list(iter_minimum_bases(g, dimension(4, 4)))
+    assert len(bases) == 1008
+    for basis in bases:
+        _assert_adjacency_matches_neighbors(build_aux_graph(g, basis.landmarks))
+
+
+@pytest.mark.parametrize("m, n, landmarks", [
+    (3, 3, []),
+    (4, 4, [Row(2)]),
+    (4, 4, [Col(3), Cell(1, 1)]),
+    (2, 6, [Cell(1, 2), Cell(2, 2), Cell(1, 5)]),
+    (5, 1, [Cell(3, 1), Row(5)]),
+])
+def test_adjacency_matches_neighbors_with_untouched_relays(m, n, landmarks):
+    aux = _aux(m, n, landmarks)
+    assert any(not aux.neighbors(r) for r in aux.right)
+    _assert_adjacency_matches_neighbors(aux)
+
+
 @st.composite
 def _landmark_sets(draw):
     """A grid with (1, n) and (m, 1) shapes allowed, and a hub-free set of

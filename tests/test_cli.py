@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -402,6 +404,99 @@ def test_export_dot_and_json(capsys):
     payload = json.loads(out)
     assert len(payload["vertices"]) == 6
     assert len(payload["edges"]) == 7
+
+
+# sha256 of export's stdout, as the per-vertex neighbour walk wrote it
+EXPORT_SHA256 = {
+    (1, 1): ("15083cf13332d25a704ab8bed036e1a15f6d69d2c5fd17f5d98e58a320287ad1",
+             "1a8c0379ffbc895b64e56419fb89a3b628da845af9c0334c66c27cb0f0b92458",
+             "8bd39f665843f0fd2b072b8e969a4e53f36784f80e186d92cac0208d1f16ee0b"),
+    (1, 7): ("68c001f9c09fdd1dd9d39f2cf48f7c1b9172a7158a2f55484c994872b9730372",
+             "4ba86645615f12a41e29b79a0eba841d588288a37f104cff17997a33b20f81c7",
+             "1c28f934bee8387e63c104c3f7f5937a0ffcf1543aac171f623b1c9566703f3c"),
+    (3, 4): ("1f0091697a20329278551bffc5341fc3fe444b87a0a31625191bc59a3d5a9315",
+             "c07b3bae2c42f65ea26ba9b18a8583308cacfd5f84c2414c4c8d1ca82b05d56f",
+             "367541dd7d11bd14780a5ff25110aa77e54cfa5a97ae6a427870751b0cb6363b"),
+    (4, 3): ("5fb14b4de5432436ae250aae7bdcf734758f2b5d1f4cd7af0d07593c71913e4e",
+             "1f914e9acaf59c94e3cfdc25d5c3d16ee237e57cf0207485082835461a5fb5ff",
+             "4a8609ca5c74678071b5ae4063a18f4860c587193c640abdd314b47032cedf85"),
+    (9, 6): ("01b84dd6cd1ab60eb54d735ea8854d91daf7beed58c7b1d69d42a66fde60593d",
+             "f5325023d760c15b45d941c133d5f38faa32323983d3e950542788d21e332d62",
+             "ca28a5f49a130cd8733e6d922dcd9c62c9bfc755e3bab5e4f83de9acdcaf8a7f"),
+}
+
+
+@pytest.mark.parametrize("m, n", list(EXPORT_SHA256))
+def test_export_output_is_pinned(capsys, m, n):
+    for fmt, want in zip(("edgelist", "dot", "json"), EXPORT_SHA256[m, n]):
+        code, out, err = run_cli(capsys, "export", "--m", str(m), "--n", str(n),
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, tmp_path):
+    # the stub's descriptor is a file of the test's own, so pointing it at
+    # the null device is seen by writing to it afterwards
+    target = tmp_path / "out.txt"
+    with open(target, "wb") as fh:
+        pipe = _ClosedPipe(fh.fileno())
+        monkeypatch.setattr(sys, "stdout", pipe)
+        code = main(["export", "--m", "3", "--n", "4"])
+        monkeypatch.undo()
+        os.write(fh.fileno(), b"after")
+    assert code == 141
+    assert pipe.writes == 1
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
+
+
+class _ClosedStream(_ClosedPipe):
+    """The same, without a file descriptor, as an ``io.StringIO``."""
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+def test_closed_stdout_without_descriptor_exits_141(capsys, monkeypatch):
+    pipe = _ClosedStream(None)
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(["dim", "--m", "3", "--n", "3"])
+    monkeypatch.undo()
+    assert (code, pipe.writes) == (141, 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_export_into_closed_pipe_is_quiet():
+    # 217 KB of edges, more than a pipe buffer holds, so the write meets
+    # the closed read end whether or not it began before the close
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, "-m", "stargrid.cli", "export", "--m", "100",
+                             "--n", "100"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.read(10) == b"hub r1\nhub"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_export_oversized_grid_exits_3(capsys):

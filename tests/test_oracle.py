@@ -188,12 +188,20 @@ ORACLE_GRIDS = [(1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 2), (2, 3), 
                 (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (4, 4)]
 
 
+def _subsets(scan, k):
+    """The scan's resolving k-subsets as index tuples, its blocks flattened
+    in the order it yields them."""
+    for hits in scan.resolving(k):
+        for row in hits.tolist():
+            yield tuple(row)
+
+
 def _first_resolving_from_size_one(table):
     """The scan the searches ran before the pigeonhole bound: every size
     from 1 up, first hit in lexicographic order."""
     scan = _SubsetScan(range(len(table)), _pair_masks(table))
     for k in range(1, len(table) + 1):
-        combo = next(scan.resolving(k), None)
+        combo = next(_subsets(scan, k), None)
         if combo is not None:
             return combo
     raise AssertionError("the whole vertex set always resolves")
@@ -266,6 +274,32 @@ def test_adjacency_search_runs_no_bfs(monkeypatch):
     for host, want in [(SimpleGraph.path(7), 3), (SimpleGraph.star(4), 3),
                        (GridGraph(1, 1), 2), (aux, 4)]:
         assert brute_force_adjacency_dimension(host) == want
+
+
+def test_oracle_reads_adjacency_only(monkeypatch):
+    # the searches read a grid through vertex_count() and adjacency(); the
+    # per-vertex API, which builds vertex objects, must not be needed
+    want = {}
+    for m, n in [(3, 3), (2, 5)]:
+        g = GridGraph(m, n)
+        k = dimension(m, n)
+        want[m, n] = (brute_force_dimension(g), enumerate_minimum_bases(g, k),
+                      exists_hub_free_basis(g, k), exists_hub_free_basis(g, k - 1))
+
+    def refuse(self, v):
+        raise RuntimeError("the oracle read the per-vertex API")
+
+    monkeypatch.setattr(GridGraph, "neighbors", refuse)
+    monkeypatch.setattr(GridGraph, "index_of", refuse)
+    for (m, n), (dim, bases, hub_free, smaller) in want.items():
+        g = GridGraph(m, n)
+        k = dimension(m, n)
+        assert brute_force_dimension(g) == dim
+        assert enumerate_minimum_bases(g, k) == bases
+        assert exists_hub_free_basis(g, k) == hub_free
+        assert exists_hub_free_basis(g, k - 1) == smaller
+    assert [len(want[grid][1]) for grid in want] == [246, 30]
+    assert [want[grid][0][0] for grid in want] == [4, 4]
 
 
 def test_oversized_adjacency_host_refused_before_table(monkeypatch):
@@ -386,6 +420,20 @@ def test_exists_hub_free_budget():
         exists_hub_free_basis(GridGraph(5, 5), 6, SearchBudget(max_candidates=100))
 
 
+@pytest.mark.parametrize("host", [
+    *(SimpleGraph.path(order) for order in (1, 2, 7)),
+    *(SimpleGraph.cycle(order) for order in (3, 4, 8)),
+    *(SimpleGraph.star(leaves) for leaves in (1, 5)),
+    SimpleGraph(6, [(4, 1), (1, 2), (2, 4)]),  # 0, 3 and 5 isolated
+    SimpleGraph(3, []),
+    SimpleGraph(0, []),
+], ids=lambda host: str(host.n))
+def test_simple_graph_adjacency_matches_neighbors(host):
+    got = host.adjacency()
+    assert got == [[host.index_of(w) for w in host.neighbors(v)] for v in host.vertices()]
+    assert all(near == sorted(near) for near in got)
+
+
 def test_simple_graph_validation():
     with pytest.raises(InputError):
         SimpleGraph(3, [(0, 3)])
@@ -427,11 +475,28 @@ def _assert_scan_matches_reference(dist, sizes, hub_free=True):
     every, rest = _SubsetScan(range(total), masks), _SubsetScan(range(1, total), masks)
     for k in sizes:
         want = list(int_resolving_subsets(range(total), k, ref_masks))
-        assert list(every.resolving(k)) == want, k
+        assert list(_subsets(every, k)) == want, k
         if hub_free:
             # combinations of range(1, N) are those of range(N) without 0, in
             # the same order, so this is the reference scan over range(1, N)
-            assert list(rest.resolving(k)) == [c for c in want if c[0] != 0], k
+            assert list(_subsets(rest, k)) == [c for c in want if c[0] != 0], k
+
+
+@pytest.mark.parametrize("m, n, k, first", [
+    (2, 7, 6, 0), (2, 7, 6, 1), (4, 4, 5, 0), (1, 8, 7, 0), (3, 3, 4, 0)])
+def test_scan_yields_blocks_of_increasing_rows_in_order(m, n, k, first):
+    # each block is one (hits, k) integer array whose rows are subsets in
+    # increasing index order, and the blocks run on in lexicographic order
+    dist = bfs_distances(GridGraph(m, n))
+    blocks = list(_SubsetScan(range(first, len(dist)), _pair_masks(dist)).resolving(k))
+    assert len(blocks) > 1
+    for hits in blocks:
+        assert isinstance(hits, np.ndarray) and hits.dtype.kind == "i"
+        assert hits.ndim == 2 and hits.shape[0] > 0 and hits.shape[1] == k
+        assert (np.diff(hits, axis=1) > 0).all()
+        assert hits.min() >= first
+    rows = [tuple(row) for row in np.concatenate(blocks).tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_pair_masks_layout():
@@ -529,8 +594,8 @@ def test_scan_matches_reference_on_pair_mask_prefixes(host):
         rest = _SubsetScan(range(1, total), masks[:count])
         for k in (1, 2):
             want = list(int_resolving_subsets(range(total), k, ref_masks[:count]))
-            assert list(every.resolving(k)) == want, (count, k)
-            assert list(rest.resolving(k)) == [c for c in want if c[0] != 0], (count, k)
+            assert list(_subsets(every, k)) == want, (count, k)
+            assert list(_subsets(rest, k)) == [c for c in want if c[0] != 0], (count, k)
 
 
 def test_scan_matches_reference_on_adjacency_tables():
