@@ -82,16 +82,12 @@ def test_neighbors_and_degrees():
     assert len(g.neighbors(Cell(1, 1))) == 2
 
 
-def _per_vertex_adjacency(g):
-    return [[g.index_of(w) for w in g.neighbors(v)] for v in g.vertices()]
-
-
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 9) for n in range(1, 9)]
                          + [(1, 30), (30, 1)])
 def test_adjacency_matches_neighbors(m, n):
     g = GridGraph(m, n)
     got = g.adjacency()
-    assert got == _per_vertex_adjacency(g)
+    assert got == [[g.index_of(w) for w in g.neighbors(v)] for v in g.vertices()]
     assert all(near == sorted(near) for near in got)
 
 

@@ -427,7 +427,7 @@ def test_exists_hub_free_budget():
     SimpleGraph(6, [(4, 1), (1, 2), (2, 4)]),  # 0, 3 and 5 isolated
     SimpleGraph(3, []),
     SimpleGraph(0, []),
-], ids=lambda host: str(host.n))
+])
 def test_simple_graph_adjacency_matches_neighbors(host):
     got = host.adjacency()
     assert got == [[host.index_of(w) for w in host.neighbors(v)] for v in host.vertices()]
