@@ -120,11 +120,23 @@ def star_distance(x, y):
     return differ << ((x != 0) & (y != 0))
 
 
+def _is_int(value) -> bool:
+    """The package's rule for an integer argument: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_sides(m: int, n: int) -> None:
     """Raise InputError unless the grid sides m and n are ints (not bools) >= 1."""
-    sides_are_ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (m, n))
-    if not sides_are_ints or m < 1 or n < 1:
+    if not (_is_int(m) and _is_int(n)) or m < 1 or n < 1:
         raise InputError(f"grid dimensions must be integers >= 1, got ({m}, {n})")
+
+
+def check_int(value, least: int | None, what: str) -> None:
+    """Raise InputError unless ``value`` is an int (not a bool) and, unless
+    ``least`` is None, at least ``least``."""
+    if not _is_int(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InputError(f"{what} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +209,7 @@ class GridGraph:
             raise InputError(f"not a vertex: {v!r}")
         # refused, unless every index is an int subclass within range
         for index, side in indices:
-            if not isinstance(index, int) or isinstance(index, bool):
+            if not _is_int(index):
                 raise InputError(f"vertex {vertex_name(v)} has a non-integer index {index!r}")
             if not 1 <= index <= side:
                 raise InputError(

@@ -16,13 +16,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .grid import GridGraph, Vertex, star_distance, vertex_name
+from .grid import GridGraph, Vertex, check_int, star_distance, vertex_name
 from .resolve import _ordered_landmarks, _read, _verdict
 
 _METRICS = ("hamming", "l1")
@@ -61,17 +62,19 @@ class NoiseModel:
     It flips when the top 53 bits of h, as a fraction, are below the
     probability, and its low bit picks +1 (set) or -1.  So any Python int
     is a seed, and a trial's noise depends on (seed, trial index) alone:
-    results do not depend on how trials are sharded or chunked.
+    results do not depend on how trials are sharded or chunked.  A
+    probability that is not a real number in [0, 1], or a seed that is not
+    an int, is refused with InputError; bools are neither.
     """
 
     flip_probability: float
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise InputError(
-                f"flip probability must be in [0, 1], got {self.flip_probability}"
-            )
+        p = self.flip_probability
+        if not isinstance(p, numbers.Real) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+            raise InputError(f"flip probability must be a number in [0, 1], got {p!r}")
+        check_int(self.seed, None, "noise seed")
 
 
 @dataclass(frozen=True)
@@ -185,42 +188,41 @@ class CodeTable:
                 best = min(best, 2 * int(np.partition(counts, 1)[:2].sum()))
         return best
 
-    def ideal(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def ideal(self, idx: np.ndarray) -> np.ndarray:
         """The (T, k) int8 codes of the vertices with canonical indices idx,
-        from the star distances of their points, and those points."""
+        from the star distances of their points."""
         x, y = _points(self.graph.m, self.graph.n, idx)
-        codes = star_distance(x[:, None], self.a) + star_distance(y[:, None], self.b)
-        return codes, x * (self.graph.n + 1) + y
+        return star_distance(x[:, None], self.a) + star_distance(y[:, None], self.b)
 
     @functools.cached_property
     def _plan(self):
-        """The batch decode's star distances by class, and its line and
-        point sum plans (see :meth:`costs`), built on first use."""
+        """The batch decode's star distances by class, and its sum plan with
+        the targets split into line and point ones (see :meth:`costs`),
+        built on first use."""
         m, n = self.graph.m, self.graph.n
-        a, b = self.a, self.b
-        k = a.shape[0]
-        on_x, on_y = a != 0, b != 0
-        # star distance from each landmark to x = 0, x = a and any other x
-        sx = np.stack([on_x, np.zeros(k, dtype=bool), 1 + on_x]).astype(np.int32)
-        sy = np.stack([on_y, np.zeros(k, dtype=bool), 1 + on_y]).astype(np.int32)
-        dist = (sx[:, None] + sy[None, :])[..., None]
-        # row terms land on x in 0..m, column terms on m + 1 + y
-        lines = np.full((3, 3, k), -1, dtype=np.intp)
-        lines[0, 2] = 0
-        lines[1, 2] = np.where(on_x, a, -1)
-        lines[2, 0] = m + 1
-        lines[2, 1] = np.where(on_y, m + 1 + b, -1)
-        xs = np.stack([np.zeros(k, dtype=np.intp), np.where(on_x, a, -1)])
-        ys = np.stack([np.zeros(k, dtype=np.intp), np.where(on_y, b, -1)])
-        points = np.full((3, 3, k), -1, dtype=np.intp)
-        points[:2, :2] = np.where((xs[:, None] < 0) | (ys[None, :] < 0), -1,
-                                  xs[:, None] * (n + 1) + ys[None, :])
-        return dist, _sum_plan(lines), _sum_plan(points)
+        ab = np.stack([self.a, self.b])
+        # star distance from each landmark's a (row 0) and b (row 1) to the
+        # classes' points: 0, itself and any other point (-1)
+        s = star_distance(np.stack([np.zeros_like(ab), ab, np.full_like(ab, -1)]), ab)
+        dist = (s[:, None, 0] + s[None, :, 1]).astype(np.int32)[..., None]
+        # the x and y of classes 0 and 1; class 1 is empty (-1) when a = 0
+        xs, ys = np.stack([np.zeros_like(ab), np.where(ab != 0, ab, -1)], axis=1)
+        # row terms land on x in 0..m, column terms on m + 1 + y, and point
+        # terms on m + n + 2 plus the point's canonical index
+        target = np.full((3, 3, ab.shape[1]), -1, dtype=np.intp)
+        target[:2, 2] = xs
+        target[2, :2] = np.where(ys < 0, -1, m + 1 + ys)
+        x, y = xs[:, None], ys[None, :]
+        target[:2, :2] = np.where((x < 0) | (y < 0), -1, m + n + 2 + _canonical(m, n, x, y))
+        take, starts, targets = _sum_plan(target)
+        split = np.searchsorted(targets, m + n + 2)
+        return dist, take, starts, targets[:split], targets[split:] - (m + n + 2)
 
     def costs(self, probes: np.ndarray, metric: str) -> np.ndarray:
-        """(T, (m + 1)(n + 1)) int32 Hamming or L1 distances from each probe,
-        a row of nonnegative integers, to the code of every point, from row,
-        column and point terms, never from the N x k matrix.
+        """(T, N) int32 Hamming or L1 distances from each probe, a row of
+        nonnegative integers, to the code of every vertex in canonical order,
+        the order of ``matrix``, from row, column and point terms, never from
+        the N x k matrix.
 
         Landmark w's distance to vertex (x, y) is s(x, a) + s(y, b).  The
         star distance s(., a) takes one value at x = 0, one at x = a and a
@@ -235,13 +237,15 @@ class CodeTable:
         i, j < 2, so it applies at the (up to 4) points {0, a} x {0, b}.
         Summed over the landmarks, a probe's cost to every vertex is a
         constant plus a row term R[x] plus a column term C[y] plus
-        corrections at no more than 4k points: O(N + k) per probe.  Costs
-        are laid out by point, x (n + 1) + y.  The plan's arrays are indexed
-        (class of x, class of y, landmark, probe), so that each numpy loop
-        runs over the probes of a chunk.
+        corrections at no more than 4k points: O(N + k) per probe.  One
+        gather and one ``reduceat`` sum every term by its target: the m + 1
+        row and n + 1 column terms, then the corrections at the points'
+        canonical indices.  The plan's arrays are indexed (class of x, class
+        of y, landmark, probe), so that each numpy loop runs over the probes
+        of a chunk.
         """
         m, n = self.graph.m, self.graph.n
-        dist, line_plan, point_plan = self._plan
+        dist, take, starts, lines_at, points_at = self._plan
         t = probes.shape[0]
         q = probes.T.astype(np.int32)
         if metric == "hamming":
@@ -251,16 +255,14 @@ class CodeTable:
         generic = f[2, 2].copy()
         f -= generic
         f[:2, :2] -= f[:2, 2:] + f[2:, :2]
-        flat = f.reshape(-1, t)
-        take, starts, targets = line_plan
+        sums = np.add.reduceat(f.reshape(-1, t)[take], starts, axis=0, dtype=np.int32)
+        split = lines_at.shape[0]
         lines = np.zeros((m + n + 2, t), dtype=np.int32)
-        lines[targets] = np.add.reduceat(flat[take], starts, axis=0, dtype=np.int32)
+        lines[lines_at] = sums[:split]
         lines[:m + 1] += generic.sum(axis=0, dtype=np.int32)
         lines = np.ascontiguousarray(lines.T)
-        out = lines[:, :m + 1, None] + lines[:, None, m + 1:]
-        out = out.reshape(t, -1)
-        take, starts, targets = point_plan
-        out[:, targets] += np.add.reduceat(flat[take], starts, axis=0, dtype=np.int32).T
+        out = _canonical_sum(lines[:, :m + 1], lines[:, m + 1:])
+        out[:, points_at] += sums[split:].T
         return out
 
 
@@ -335,29 +337,28 @@ def decode_batch(probes, table: CodeTable, metric: str = "hamming") -> list[Deco
     Decodes structurally, from row, column and point terms of the landmarks'
     star distances (see :meth:`CodeTable.costs`): O(N + k) per probe, in
     chunks of probes, without reading the table's N x k matrix, so it runs
-    on any table.  ``probes`` is a sequence of codes or a (T, k) integer
-    array; entries are checked as in :func:`decode`.
+    on any table.  Costs come in canonical order, as :func:`decode`'s
+    distances do, so ties are listed as it lists them.  ``probes`` is a
+    sequence of codes or a (T, k) integer array; entries are checked as in
+    :func:`decode`.
     """
     _check_metric(metric)
     if len(probes) == 0:
         return []
     arr = _hop_counts(probes, 2, table.code_length)
-    g = table.graph
-    m, n = g.m, g.n
+    vertex_at = table.graph.vertex_at
     chunk = max(1, _CHUNK_CELLS // len(table))
     out: list[DecodeResult] = []
     for lo in range(0, arr.shape[0], chunk):
         costs = table.costs(arr[lo:lo + chunk], metric)
         best, dist, tied = _nearest_batch(costs)
-        first = _canonical(m, n, best // (n + 1), best % (n + 1)).tolist()
-        for row, i, d, tie in zip(costs, first, dist.tolist(), tied.tolist()):
+        for row, i, d, tie in zip(costs, best.tolist(), dist.tolist(), tied.tolist()):
             if not tie:
-                out.append(DecodeResult(g.vertex_at(i), d))
+                out.append(DecodeResult(vertex_at(i), d))
                 continue
-            # the first minimum is masked in row
-            hits = np.flatnonzero(row == d)
-            ties = sorted([i, *_canonical(m, n, hits // (n + 1), hits % (n + 1)).tolist()])
-            out.append(DecodeResult(None, d, ties=tuple(g.vertex_at(j) for j in ties)))
+            # the first minimum i, masked in row, comes before the other ties
+            ties = (i, *np.flatnonzero(row == d).tolist())
+            out.append(DecodeResult(None, d, ties=tuple(map(vertex_at, ties))))
     return out
 
 
@@ -413,18 +414,24 @@ def _code_matrix(g: GridGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     points of each star give every block as a broadcast sum, O(N) per
     landmark."""
     m, n = g.m, g.n
-    total = g.vertex_count()
-    k = a.shape[0]
-    _check_table_cells(g, k)
+    _check_table_cells(g, a.shape[0])
     rows = star_distance(a[:, None], np.arange(m + 1)).view(np.uint8)
     cols = star_distance(b[:, None], np.arange(n + 1)).view(np.uint8)
-    arr = np.empty((k, total), dtype=np.uint8)
-    # canonical order is (x, 0) for x = 0..m, (0, y) for y = 1..n, then the
-    # cells row-major, whose (k, m, n) reshape is a view of arr
-    np.add(rows, cols[:, :1], out=arr[:, :1 + m])
-    np.add(rows[:, :1], cols[:, 1:], out=arr[:, 1 + m:1 + m + n])
-    np.add(rows[:, 1:, None], cols[:, None, 1:], out=arr[:, 1 + m + n:].reshape(k, m, n))
-    return arr.T
+    return _canonical_sum(rows, cols).T
+
+
+def _canonical_sum(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (T, N) array whose entry (t, i) is rows[t, x] + cols[t, y] for
+    the point (x, y) of canonical index i, from a (T, m + 1) row term and a
+    (T, n + 1) column term, in their dtype."""
+    t, m, n = rows.shape[0], rows.shape[1] - 1, cols.shape[1] - 1
+    out = np.empty((t, (m + 1) * (n + 1)), dtype=rows.dtype)
+    # canonical order is (x, 0) for x = 0..m (hub and rows), then (x, y) for
+    # x = 0..m and y = 1..n row-major (columns, then cells), whose (t, m + 1,
+    # n) reshape is a view of out
+    np.add(rows, cols[:, :1], out=out[:, :m + 1])
+    np.add(rows[:, :, None], cols[:, None, 1:], out=out[:, m + 1:].reshape(t, m + 1, n))
+    return out
 
 
 def _check_code_size(g: GridGraph, k: int) -> None:
@@ -505,17 +512,19 @@ def _hop_noise(key: int, first: int, count: int, k: int, p: float) -> np.ndarray
 def _noisy_codes(
     table: CodeTable, noise: NoiseModel, first_trial: int, trials: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Chunks of (the point of each trial's vertex, its noisy code)."""
+    """Chunks of (the canonical index of each trial's vertex, its noisy
+    code)."""
     total = len(table)
     chunk = max(1, _CHUNK_CELLS // total)
     key = _noise_key(noise.seed)
     p = noise.flip_probability
     for lo in range(first_trial, first_trial + trials, chunk):
         count = min(chunk, first_trial + trials - lo)
-        codes, points = table.ideal((lo % total + np.arange(count)) % total)
+        idx = (lo % total + np.arange(count)) % total
+        codes = table.ideal(idx)
         if p > 0.0:
             codes = np.maximum(codes + _hop_noise(key, lo, count, table.code_length, p), 0)
-        yield points, codes
+        yield idx, codes
 
 
 def simulate(
@@ -528,9 +537,12 @@ def simulate(
 ) -> SimulationResult:
     """Round-robin decode trials under the noise model.
 
-    Trial t perturbs the ideal code of vertex t mod N and decodes it; the
-    reported rates are wrong decodes per trial and ties per trial.  With
-    trials a multiple of N the rates are exact vertex-set averages.
+    Trial t perturbs the ideal code of vertex t mod N (canonical order) and
+    decodes it; a unique decode is wrong when its canonical index is not t
+    mod N.  The reported rates are wrong decodes per trial and ties per
+    trial.  With trials a multiple of N the rates are exact vertex-set
+    averages.  ``trials`` must be an int >= 1 and ``first_trial`` an int
+    >= 0 (not bools), else InputError.
 
     Trials run in chunks: each chunk draws its noise in one pass over a
     (trials, k) counter array and decodes with the structural batch decode
@@ -543,10 +555,8 @@ def simulate(
     equals the aggregate of disjoint shards (``first_trial`` is the shard
     offset).
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if first_trial < 0:
-        raise InputError("first_trial must be >= 0")
+    check_int(trials, 1, "trials")
+    check_int(first_trial, 0, "first_trial")
     _check_metric(metric)
     table = code_table(g, landmarks)
     wrong = 0

@@ -56,7 +56,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .grid import GridGraph
+from .grid import GridGraph, check_int
 from .resolve import ResolvingSet, is_resolving
 
 
@@ -97,17 +97,11 @@ MAX_BFS_VERTICES = 2000
 MAX_PAIR_MASK_BYTES = 64 << 20
 
 
-def _check_int(value, least: int, what: str) -> None:
-    """Raise InputError unless ``value`` is an int (not a bool) >= ``least``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
-
-
 class SimpleGraph:
     """Minimal adjacency-list host for the adjacency-dimension search."""
 
     def __init__(self, n_vertices: int, edges):
-        _check_int(n_vertices, 0, "vertex count")
+        check_int(n_vertices, 0, "vertex count")
         self.n = n_vertices
         self._adj: list[set[int]] = [set() for _ in range(n_vertices)]
         for u, v in edges:
@@ -325,43 +319,44 @@ class _SubsetScan:
         is in lexicographic order.
 
         Blocks start at ``_FIRST_ROWS`` rows and grow 4x up to
-        ``_BLOCK_ROWS``, so a first-hit search stops early.  Take T_r, the
-        largest table within ``_BLOCK_ROWS`` rows; for r = k the blocks are
-        slices of it.  Otherwise the k-subsets whose first k - r positions
-        are a head h plus i are h and i OR-ed into the r-subsets of the
-        positions above i, a tail of T_r.  These tails are built in order
-        and cut into blocks, so at most one tail is built past the block a
-        search stops in.
+        ``_BLOCK_ROWS``, so a first-hit search stops early.  The parts of
+        :meth:`_parts` are built in order and cut into blocks, so at most
+        one part is built past the block a search stops in.  A lone part,
+        the whole of T_k included, is sliced, not copied.
         """
         count = self._tables[0].shape[1]
         if k > count:
             return
+        rows = _FIRST_ROWS
+        parts, size = [], 0
+        for part in self._parts(k, count):
+            parts.append(part)
+            size += part.shape[1]
+            while size >= rows:
+                block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+                yield block[:, :rows]
+                parts, size = [block[:, rows:]], size - rows
+                rows = min(4 * rows, _BLOCK_ROWS)
+        if size:
+            yield parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    def _parts(self, k: int, count: int):
+        """The k-subsets' masks and hit words in lexicographic order, in
+        parts.  Take T_r, the largest table within ``_BLOCK_ROWS`` rows; for
+        r = k it is the one part.  Otherwise the k-subsets whose first k - r
+        positions are a head h plus i are h and i OR-ed into the r-subsets
+        of the positions above i, a tail of T_r: one part per (h, i)."""
         r = max((s for s in range(1, k + 1) if comb(count, s) <= _BLOCK_ROWS), default=1)
         table = self._table(r)
-        rows = _FIRST_ROWS
         if r == k:
-            start = 0
-            while start < table.shape[1]:
-                yield table[:, start:start + rows]
-                start += rows
-                rows = min(4 * rows, _BLOCK_ROWS)
+            yield table
             return
         unit = self._tables[0]
         tails = [table.shape[1] - comb(count - 1 - i, r) for i in range(count - r)]
-        parts, size = [], 0
         for head in itertools.combinations(range(count - r - 1), k - r - 1):
             mask = np.bitwise_or.reduce(unit[:, head], axis=1)[:, None]
             for i in range(head[-1] + 1 if head else 0, count - r):
-                parts.append(table[:, tails[i]:] | (mask | unit[:, i, None]))
-                size += parts[-1].shape[1]
-                while size >= rows:
-                    # a lone part is sliced, not copied again
-                    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-                    yield block[:, :rows]
-                    parts, size = [block[:, rows:]], size - rows
-                    rows = min(4 * rows, _BLOCK_ROWS)
-        if size:
-            yield np.concatenate(parts, axis=1)
+                yield table[:, tails[i]:] | (mask | unit[:, i, None])
 
 
 def _fewest_landmarks(total: int, top: int) -> int:
@@ -424,7 +419,7 @@ def brute_force_dimension(
 def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET):
     """Yield every resolving k-subset in canonical order (streaming form of
     :func:`enumerate_minimum_bases`)."""
-    _check_int(k, 1, "subset size")
+    check_int(k, 1, "subset size")
     total = g.vertex_count()
     _gate(budget, comb(total, k), f"basis enumeration on ({g.m}, {g.n}) at size {k}")
     verts = np.array(g.vertices(), dtype=object)
@@ -488,7 +483,7 @@ def exists_hub_free_basis(
 
     Scans hub-free subsets in canonical order and stops at the first hit.
     """
-    _check_int(k, 1, "subset size")
+    check_int(k, 1, "subset size")
     total = g.vertex_count()
     _gate(budget, comb(total - 1, k), f"hub-free search on ({g.m}, {g.n}) at size {k}")
     scan = _SubsetScan(range(1, total), _pair_masks(bfs_distances(g)))

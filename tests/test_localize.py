@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -383,6 +384,26 @@ def test_decode_batch_chunks_agree(monkeypatch):
         assert decode_batch(probes, table, "l1") == whole, cells
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (4, 4), (5, 7)])
+def test_cost_rows_are_in_canonical_order(m, n):
+    # column i of the costs is the distance to the code of the vertex with
+    # canonical index i, the row of the matrix that decode compares
+    g = GridGraph(m, n)
+    basis = tuple(build_basis(m, n).landmarks)
+    extra = tuple(v for v in (HUB, Row(m), Col(1)) if v not in basis)
+    for landmarks in (basis, basis + extra):
+        table = code_table(g, ResolvingSet(landmarks))
+        probes = np.array(_probes(random.Random(m * n), table, 10))
+        codes = table.matrix.astype(np.int64)
+        for metric in ("hamming", "l1"):
+            costs = table.costs(probes, metric)
+            assert costs.shape == (len(probes), g.vertex_count())
+            for i in range(g.vertex_count()):
+                diff = probes - codes[i]
+                want = (diff != 0).sum(axis=1) if metric == "hamming" else np.abs(diff).sum(axis=1)
+                assert costs[:, i].tolist() == want.tolist(), (landmarks, metric, i)
+
+
 @pytest.mark.parametrize("m, n", [(5, 7), (30, 30)])
 def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
     g = GridGraph(m, n)
@@ -471,6 +492,15 @@ def test_noise_model_validation():
         NoiseModel(flip_probability=-0.1)
     NoiseModel(flip_probability=0.0)
     NoiseModel(flip_probability=1.0)
+    # a probability is a real number and a seed an int; bools are neither
+    for bad in (True, False, "0.1", None, 0.1j, float("nan")):
+        with pytest.raises(InputError, match="flip probability must be a number in"):
+            NoiseModel(flip_probability=bad)
+    for bad in (1.5, None, "x", True, np.float64(2.0)):
+        with pytest.raises(InputError, match=re.escape(f"noise seed must be an integer, got {bad!r}")):
+            NoiseModel(0.1, seed=bad)
+    for p in (0, 1, np.float64(0.25), np.float32(0.5)):
+        assert NoiseModel(p, seed=-3).flip_probability == p
 
 
 def test_simulate_zero_noise_is_perfect():
@@ -531,20 +561,23 @@ def test_simulate_result_record_fields():
 
 def test_simulate_validates_trials():
     g = GridGraph(2, 2)
-    with pytest.raises(InputError):
-        simulate(g, build_basis(2, 2), NoiseModel(0.0), trials=0)
+    basis = build_basis(2, 2)
+    for trials in (0, -1, True, 2.5, "3", None):
+        with pytest.raises(InputError, match=re.escape(f"trials must be an integer >= 1, got {trials!r}")):
+            simulate(g, basis, NoiseModel(0.0), trials=trials)
+    for first in (-1, True, False, 1.5, "0", None):
+        with pytest.raises(InputError,
+                           match=re.escape(f"first_trial must be an integer >= 0, got {first!r}")):
+            simulate(g, basis, NoiseModel(0.0), trials=4, first_trial=first)
+    assert simulate(g, basis, NoiseModel(0.0), trials=4, first_trial=0).trials == 4
 
 
 def _drawn(g, landmarks, noise, first_trial, trials):
-    """Every (point, noisy code) pair simulate decodes for these trials."""
+    """Every (canonical index, noisy code) pair simulate decodes for these
+    trials."""
     table = code_table(g, landmarks)
-    points, codes = zip(*localize._noisy_codes(table, noise, first_trial, trials))
-    return np.concatenate(points), np.concatenate(codes)
-
-
-def _point_vertex(g, point):
-    x, y = divmod(int(point), g.n + 1)
-    return next(v for v in g.vertices() if g.point(v) == (x, y))
+    indices, codes = zip(*localize._noisy_codes(table, noise, first_trial, trials))
+    return np.concatenate(indices), np.concatenate(codes)
 
 
 @pytest.mark.parametrize("m,n,extra", [
@@ -560,13 +593,13 @@ def test_simulate_counts_equal_per_trial_decode(m, n, extra, monkeypatch):
     monkeypatch.setattr(localize, "_CHUNK_CELLS", 7 * g.vertex_count())
     for p, metric in itertools.product((0.0, 0.05, 0.2, 0.5), ("hamming", "l1")):
         noise = NoiseModel(p, seed=m * n)
-        points, codes = _drawn(g, landmarks, noise, 3, 150)
+        indices, codes = _drawn(g, landmarks, noise, 3, 150)
         wrong = ties = 0
-        for point, code in zip(points, codes):
+        for i, code in zip(indices.tolist(), codes):
             result = decode(code, table, metric)
             if result.ambiguous:
                 ties += 1
-            elif result.vertex != _point_vertex(g, point):
+            elif result.vertex != g.vertex_at(i):
                 wrong += 1
         r = simulate(g, landmarks, noise, trials=150, metric=metric, first_trial=3)
         assert (r.misidentification_rate, r.ambiguity_rate) == (wrong / 150, ties / 150)
@@ -578,13 +611,13 @@ def test_noisy_codes_are_keyed_by_trial_not_by_call(monkeypatch):
     g = GridGraph(4, 6)
     basis = build_basis(4, 6)
     noise = NoiseModel(0.2, seed=123)
-    points, whole = _drawn(g, basis, noise, 10, 200)
+    indices, whole = _drawn(g, basis, noise, 10, 200)
     for cells in (3 * g.vertex_count(), 16 * g.vertex_count()):
         monkeypatch.setattr(localize, "_CHUNK_CELLS", cells)
         for cut in (11, 77, 150):
             lo = _drawn(g, basis, noise, 10, cut - 10)
             hi = _drawn(g, basis, noise, cut, 210 - cut)
-            assert np.array_equal(np.concatenate([lo[0], hi[0]]), points)
+            assert np.array_equal(np.concatenate([lo[0], hi[0]]), indices)
             assert np.array_equal(np.concatenate([lo[1], hi[1]]), whole), (cells, cut)
 
 
@@ -592,10 +625,10 @@ def test_zero_noise_leaves_codes_unchanged():
     for m, n in [(1, 1), (3, 8), (9, 2)]:
         g = GridGraph(m, n)
         basis = build_basis(m, n)
-        points, codes = _drawn(g, basis, NoiseModel(0.0, seed=1), 0, 3 * g.vertex_count())
+        indices, codes = _drawn(g, basis, NoiseModel(0.0, seed=1), 0, 3 * g.vertex_count())
         ideal = code_matrix(g, basis.landmarks)
         assert np.array_equal(codes, np.tile(ideal, (3, 1)))
-        assert [_point_vertex(g, q) for q in points[:g.vertex_count()]] == g.vertices()
+        assert [g.vertex_at(i) for i in indices[:g.vertex_count()].tolist()] == g.vertices()
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
