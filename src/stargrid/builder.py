@@ -173,7 +173,7 @@ def build_basis(m: int, n: int) -> ResolvingSet:
             f"witness {verdict.witness}"
         )
     landmarks = tuple([vertex_at_point(x, y) for x, y in points])
-    return ResolvingSet._distinct(landmarks, True, f"constructed-regime-{reg.tag}")
+    return ResolvingSet._distinct(landmarks, f"constructed-regime-{reg.tag}")
 
 
 # The constructions below emit landmarks as points (x, y) of the normalized

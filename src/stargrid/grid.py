@@ -227,7 +227,10 @@ class GridGraph:
         return self.m + self.n + (x - 1) * self.n + y
 
     def vertex_at(self, idx: int) -> Vertex:
-        """Inverse of index_of."""
+        """Inverse of index_of.  Raises InputError unless idx is an int (not
+        a bool, as in :func:`check_int`) from 0 to N - 1."""
+        if type(idx) is not int:
+            check_int(idx, None, "vertex index")
         if not 0 <= idx < self.vertex_count():
             raise InputError(f"vertex index {idx} out of range")
         if idx == 0:

@@ -64,7 +64,10 @@ class NoiseModel:
     is a seed, and a trial's noise depends on (seed, trial index) alone:
     results do not depend on how trials are sharded or chunked.  A
     probability that is not a real number in [0, 1], or a seed that is not
-    an int, is refused with InputError; bools are neither.
+    an int, is refused with InputError; bools are neither.  An accepted
+    probability is stored as a Python float, so results that report it
+    (:class:`SimulationResult`) serialize to JSON whatever number type it
+    came in as.
     """
 
     flip_probability: float
@@ -75,6 +78,7 @@ class NoiseModel:
         if not isinstance(p, numbers.Real) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
             raise InputError(f"flip probability must be a number in [0, 1], got {p!r}")
         check_int(self.seed, None, "noise seed")
+        object.__setattr__(self, "flip_probability", float(p))
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ class CodeTable:
     The landmarks are a :class:`~stargrid.resolve.ResolvingSet` or any
     vertex collection (a plain set is taken in canonical order).  They are
     re-checked against this grid with :func:`~stargrid.resolve.is_resolving`,
-    whatever their ``verified`` flag says, and a set that does not resolve
-    it is refused rather than allowed to make decoding silently ambiguous.
+    wherever they came from, and a set that does not resolve it is refused
+    rather than allowed to make decoding silently ambiguous.
     Before that check, grids past ``MAX_TABLE_VERTICES`` vertices and sets
     past ``MAX_CODE_LENGTH`` landmarks are refused with BudgetError, as the
     table's own arrays take O(N + k) memory.  Landmark w sits at the point

@@ -413,7 +413,7 @@ def brute_force_dimension(
     witness = tuple(map(g.vertex_at, combo))
     if not is_resolving(g, witness):
         raise RuntimeError("internal error: oracle witness fails is_resolving")
-    return len(combo), ResolvingSet._distinct(witness, True, "oracle")
+    return len(combo), ResolvingSet._distinct(witness, "oracle")
 
 
 def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET):
@@ -426,7 +426,7 @@ def iter_minimum_bases(g: GridGraph, k: int, budget: SearchBudget = DEFAULT_BUDG
     # the scan's index rows are strictly increasing, so no landmark repeats
     for hits in _SubsetScan(range(total), _pair_masks(bfs_distances(g))).resolving(k):
         for combo in verts[hits].tolist():
-            yield ResolvingSet._distinct(tuple(combo), True, "oracle")
+            yield ResolvingSet._distinct(tuple(combo), "oracle")
 
 
 def enumerate_minimum_bases(

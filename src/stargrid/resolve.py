@@ -21,7 +21,7 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -43,29 +43,44 @@ class Verdict:
 class ResolvingSet:
     """An ordered, duplicate-free landmark list.
 
-    ``verified`` is only set by code paths that ran a full resolution check
-    on this exact landmark tuple or the points it was made from; code tables
-    still re-check it against their own grid.  ``provenance`` records where
-    the set came from: ``constructed-regime-A/B/C/D``, ``oracle``, or ``user``.
+    ``ResolvingSet(landmarks)`` is the only public way to build one, and the
+    landmarks, any iterable of vertices, stored as a tuple, are all it
+    takes: a set compares and hashes by its landmarks alone.  ``provenance`` records where the set came from.  The package
+    stamps it on the sets it returns: ``constructed-regime-A/B/C/D`` from
+    :func:`~stargrid.builder.build_basis` and ``oracle`` from the brute-force
+    searches.  Every other set, ``dataclasses.replace`` copies of stamped sets
+    included, reads ``user``.  Nothing trusts the stamp: code tables re-check
+    every set against their own grid with :func:`is_resolving`.
     """
 
     landmarks: tuple[Vertex, ...]
-    verified: bool = False
-    provenance: str = "user"
+    provenance: str = field(default="user", init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.landmarks)) != len(self.landmarks):
+        landmarks = tuple(self.landmarks)
+        if len(set(landmarks)) != len(landmarks):
             raise InputError("duplicate landmarks in resolving set")
+        object.__setattr__(self, "landmarks", landmarks)
 
     @classmethod
-    def _distinct(cls, landmarks: tuple[Vertex, ...], verified: bool,
-                  provenance: str) -> "ResolvingSet":
+    def _distinct(cls, landmarks: tuple[Vertex, ...], provenance: str) -> "ResolvingSet":
         """Build without the duplicate check, for landmarks known distinct:
         the oracle's strictly increasing index tuples, or a tuple made from
-        points whose relay footprint has just been found distinct."""
+        points whose relay footprint has just been found distinct.  Only the
+        package's own searches and construction call this, each with its
+        provenance, after a full resolution check."""
         self = object.__new__(cls)
-        self.__dict__.update(landmarks=landmarks, verified=verified, provenance=provenance)
+        self.__dict__.update(landmarks=landmarks, provenance=provenance)
         return self
+
+    @property
+    def verified(self) -> bool:
+        """Whether the package built this set (``provenance != "user"``),
+        and so checked it on the grid it was built for.  Read-only, and
+        kept only because the benchmark's construct check reads it; that
+        check can call :func:`is_resolving` instead, which, unlike this
+        flag, says whether the set resolves a given grid."""
+        return self.provenance != "user"
 
     def __len__(self) -> int:
         return len(self.landmarks)

@@ -9,10 +9,13 @@ colliding pair in canonical vertex order.
 :func:`pairwise_min_l1` is the all-pairs scan ``CodeTable`` used for
 ``min_pairwise_l1`` before the closed form over landmark counts: O(N^2 k).
 
-:func:`int_pair_masks` and :func:`int_resolving_subsets` are the oracle's
-subset scan before it tested blocks of candidates with numpy: one Python
-int bitmask per vertex pair, and one candidate at a time, pruned at the
-first pair it leaves unresolved.
+:func:`int_pair_masks` and :func:`combination_resolving_subsets` are the
+oracle's subset scan before it tested blocks of candidates with numpy: one
+Python int bitmask per vertex pair, and one candidate at a time, pruned at
+the first pair it leaves unresolved.  :func:`int_resolving_subsets` yields
+the same subsets depth first, cutting every prefix that some pair can no
+longer meet; it is the reference the tests compare the oracle's scan with,
+and it is itself checked against :func:`combination_resolving_subsets`.
 
 :func:`python_bfs_distances` is :func:`stargrid.bfs_distances` before it
 searched from every source at once with numpy: one pure-Python BFS per
@@ -111,7 +114,46 @@ def int_pair_masks(dist) -> tuple[int, ...]:
 
 def int_resolving_subsets(indices, k: int, pair_masks):
     """Yield, in lexicographic order, every k-subset of ``indices`` (as an
-    index tuple) that meets every pair mask."""
+    index tuple) that meets every pair mask.
+
+    Depth first over positions in ``indices``.  Each prefix carries the
+    pairs it leaves unmet, as masks of positions.  A pair whose last
+    position comes before the next pick would miss the prefix together with
+    every index still allowed, so the next pick stops at the smallest such
+    last position; the final pick must meet every unmet pair."""
+    indices = tuple(indices)
+    total = len(indices)
+    # unmet pairs stay sorted by last position, so the first one bounds the
+    # next pick
+    positions = sorted(
+        (sum(1 << p for p, i in enumerate(indices) if pm >> i & 1) for pm in pair_masks),
+        key=int.bit_length,
+    )
+
+    def extend(prefix, start, unmet):
+        left = k - len(prefix)
+        if left == 0:
+            if not unmet:
+                yield prefix
+            return
+        if left == 1:
+            common = (1 << total) - 1
+            for pm in unmet:
+                common &= pm
+            for p in range(start, total):
+                if common >> p & 1:
+                    yield prefix + (indices[p],)
+            return
+        stop = min(total - left, unmet[0].bit_length() - 1) if unmet else total - left
+        for p in range(start, stop + 1):
+            bit = 1 << p
+            yield from extend(prefix + (indices[p],), p + 1, [pm for pm in unmet if not pm & bit])
+
+    yield from extend((), 0, positions)
+
+
+def combination_resolving_subsets(indices, k: int, pair_masks):
+    """:func:`int_resolving_subsets` by testing every k-subset in turn."""
     bits = [1 << i for i in indices]
     for combo in itertools.combinations(bits, k):
         subset = sum(combo)  # the bits are distinct, so this is their union

@@ -64,10 +64,15 @@ def test_index_roundtrip():
         x, y = localize._points(m, n, np.arange(g.vertex_count()))
         assert list(zip(x.tolist(), y.tolist())) == points, (m, n)
         assert localize._canonical(m, n, x, y).tolist() == list(range(g.vertex_count())), (m, n)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=f"vertex index {g.vertex_count()} out of range"):
             g.vertex_at(g.vertex_count())
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="vertex index -1 out of range"):
             g.vertex_at(-1)
+        # an index is an int as check_int has it: no bool, float, numpy
+        # integer or string, and no None
+        for bad in (True, False, 1.5, 1.0, np.int64(1), np.int64(g.vertex_count() - 1), "1", None):
+            with pytest.raises(InputError, match="vertex index must be an integer"):
+                g.vertex_at(bad)
 
 
 def test_neighbors_and_degrees():

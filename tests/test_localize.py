@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -88,7 +89,11 @@ def test_code_table_rechecks_basis_against_its_grid():
 
 
 def test_code_table_rejects_forged_verified_flag():
-    forged = ResolvingSet((Cell(1, 1),), verified=True)
+    # no argument sets the claim, and the table checks the set itself
+    for claim in ({"verified": True}, {"provenance": "oracle"}):
+        with pytest.raises(TypeError):
+            ResolvingSet((Cell(1, 1),), **claim)
+    forged = ResolvingSet((Cell(1, 1),))
     with pytest.raises(InputError, match="hub and a1,2 share a code"):
         code_table(GridGraph(2, 2), forged)
 
@@ -120,7 +125,7 @@ def test_code_of_matches_code_matrix_on_constructed_bases(m):
 
 
 def _table_l1(g, landmarks):
-    return code_table(g, ResolvingSet(tuple(landmarks), verified=True)).min_pairwise_l1
+    return code_table(g, ResolvingSet(tuple(landmarks))).min_pairwise_l1
 
 
 @pytest.mark.parametrize("m", range(1, 21))
@@ -357,12 +362,12 @@ def test_decode_batch_matches_decode_on_constructed_bases(m):
 def test_decode_batch_matches_decode_with_hub_and_relays():
     g = GridGraph(6, 9)
     landmarks = list(build_basis(6, 9).landmarks) + [HUB, Row(2), Row(6), Col(5), Col(9)]
-    table = code_table(g, ResolvingSet(tuple(landmarks), verified=True))
+    table = code_table(g, ResolvingSet(tuple(landmarks)))
     rnd = random.Random(69)
     _check_batch(table, _probes(rnd, table, 150))
     # every probe with entries 0..6 on a set of relays and the hub alone
     g = GridGraph(2, 2)
-    table = code_table(g, ResolvingSet((HUB, Row(1), Col(1), Row(2)), verified=True))
+    table = code_table(g, ResolvingSet((HUB, Row(1), Col(1), Row(2))))
     _check_batch(table, list(itertools.product(range(7), repeat=4)))
 
 
@@ -370,7 +375,7 @@ def test_decode_batch_matches_decode_with_hub_and_relays():
 @given(resolving_sets(), st.randoms(use_true_random=False))
 def test_decode_batch_matches_decode_on_drawn_sets(case, rnd):
     g, landmarks = case
-    table = code_table(g, ResolvingSet(tuple(landmarks), verified=True))
+    table = code_table(g, ResolvingSet(tuple(landmarks)))
     _check_batch(table, _probes(rnd, table, 8))
 
 
@@ -503,6 +508,17 @@ def test_noise_model_validation():
         assert NoiseModel(p, seed=-3).flip_probability == p
 
 
+def test_simulation_result_reports_a_python_float():
+    # the probability is stored as a float whatever number type it came in
+    # as, so a result's to_dict() survives a JSON round trip (and a float16
+    # no longer overflows to infinity when the noise scales it by 2^53)
+    g, basis = GridGraph(3, 4), build_basis(3, 4)
+    for p in (np.float16(0.25), np.float32(0.25), np.float64(0.25), 0, 1):
+        r = simulate(g, basis, NoiseModel(p, seed=1), 20)
+        assert type(r.p) is float and r.p == p, p
+        assert json.loads(json.dumps(r.to_dict())) == r.to_dict(), p
+
+
 def test_simulate_zero_noise_is_perfect():
     for m, n in [(1, 1), (2, 4), (5, 5)]:
         g = GridGraph(m, n)
@@ -587,7 +603,7 @@ def _drawn(g, landmarks, noise, first_trial, trials):
 ])
 def test_simulate_counts_equal_per_trial_decode(m, n, extra, monkeypatch):
     g = GridGraph(m, n)
-    landmarks = ResolvingSet(tuple(build_basis(m, n).landmarks) + extra, verified=True)
+    landmarks = ResolvingSet(tuple(build_basis(m, n).landmarks) + extra)
     table = code_table(g, landmarks)
     # small chunks, so that trials span several
     monkeypatch.setattr(localize, "_CHUNK_CELLS", 7 * g.vertex_count())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference import (
+    combination_resolving_subsets,
     int_pair_masks,
     int_resolving_subsets,
     is_adjacency_resolving,
@@ -148,7 +149,6 @@ def test_brute_force_agrees_with_formula_small():
         for n in range(m, 6):
             k, witness = brute_force_dimension(GridGraph(m, n))
             assert k == dimension(m, n), (m, n)
-            assert witness.verified
             assert is_resolving(GridGraph(m, n), witness)
 
 
@@ -316,13 +316,13 @@ def test_oversized_adjacency_host_refused_before_table(monkeypatch):
 @pytest.mark.parametrize("m,n", [(2, 7), (7, 2), (4, 4)])
 def test_enumerated_bases_equal_checked_sets(m, n):
     # bases skip the duplicate check; they must still equal, and hash like,
-    # sets built through the public constructor
+    # sets built through the public constructor, whose provenance differs
     g = GridGraph(m, n)
     bases = enumerate_minimum_bases(g, dimension(m, n))
     assert bases
     # so do the dimension search's witness and the constructed basis
     for b in [*bases, brute_force_dimension(g)[1], build_basis(m, n)]:
-        checked = ResolvingSet(b.landmarks, verified=True, provenance=b.provenance)
+        checked = ResolvingSet(b.landmarks)
         assert b == checked and hash(b) == hash(checked), b
         assert len(set(b.landmarks)) == len(b.landmarks)
 
@@ -554,6 +554,33 @@ def test_pair_masks_memory():
 def test_scan_matches_reference_on_small_grids(m, n):
     for g in (GridGraph(m, n), GridGraph(n, m)):
         _assert_scan_matches_reference(bfs_distances(g), range(1, dimension(m, n) + 1))
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m, n in SMALL_GRIDS if (m + 1) * (n + 1) <= 20])
+def test_reference_scan_matches_combination_scan(m, n):
+    # the depth-first reference against the scan that tests every subset in
+    # turn, on the grids of at most 20 vertices in both orientations, over
+    # every index, every index but the hub's, and the even indices
+    for g in (GridGraph(m, n), GridGraph(n, m)):
+        dist = bfs_distances(g)
+        masks, total = int_pair_masks(dist), dist.shape[0]
+        for indices in (range(total), range(1, total), range(0, total, 2)):
+            for k in range(dimension(m, n) + 2):
+                want = list(combination_resolving_subsets(indices, k, masks))
+                assert list(int_resolving_subsets(indices, k, masks)) == want, (g, indices, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda total: st.tuples(
+        arrays(np.uint8, (total, total), elements=st.integers(0, 3)),
+        st.sets(st.integers(0, total - 1)).map(sorted))),
+    st.integers(0, 6))
+def test_reference_scan_matches_combination_scan_on_random_tables(case, k):
+    dist, indices = case
+    masks = int_pair_masks(dist)
+    want = list(combination_resolving_subsets(indices, k, masks))
+    assert list(int_resolving_subsets(indices, k, masks)) == want
 
 
 @pytest.mark.parametrize("m,n", [(2, 20), (7, 7), (4, 12), (10, 10)])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -25,11 +26,13 @@ from stargrid import (
     Row,
     SimpleGraph,
     bfs_distances,
+    brute_force_dimension,
     build_aux_graph,
     build_basis,
     code_matrix,
     code_table,
     dimension,
+    enumerate_minimum_bases,
     full_distance_matrix,
     is_resolving,
     metric_code,
@@ -106,7 +109,7 @@ def test_is_resolving_rejects_bad_landmarks():
         with pytest.raises(InputError, match="out of range"):
             code_matrix(g, [Cell(1, 1), bad])
         with pytest.raises(InputError, match="out of range"):
-            code_table(g, ResolvingSet((Cell(1, 1), bad), verified=True))
+            code_table(g, ResolvingSet((Cell(1, 1), bad)))
     with pytest.raises(InputError, match="not a vertex"):
         is_resolving(g, [Cell(1, 1), "r1"])
 
@@ -181,7 +184,7 @@ def test_verification_memory_is_linear_in_the_sides():
         _, check_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert basis.verified and len(basis) == dimension(1000, 1000)
+    assert len(basis) == dimension(1000, 1000) and is_resolving(g, basis)
     assert not verdict
     x, y = verdict.witness
     assert x != y
@@ -192,6 +195,44 @@ def test_verification_memory_is_linear_in_the_sides():
 def test_resolving_set_rejects_duplicates():
     with pytest.raises(InputError):
         ResolvingSet((Cell(1, 1), Cell(1, 1)))
+    with pytest.raises(InputError):
+        ResolvingSet([Row(1), Cell(1, 1), Row(1)])
+
+
+def test_resolving_set_holds_a_tuple():
+    # a list or a generator of landmarks makes the same, hashable set
+    landmarks = (Cell(1, 1), Row(2), HUB)
+    want = ResolvingSet(landmarks)
+    for given in (list(landmarks), iter(landmarks)):
+        got = ResolvingSet(given)
+        assert got.landmarks == landmarks and got == want and hash(got) == hash(want)
+
+
+def test_only_the_package_stamps_provenance():
+    # the builder and the oracle stamp their sets, and ``verified`` reads the
+    # stamp; a set from the constructor, or a replace()d copy of a stamped
+    # one, is the caller's, and no argument or assignment makes it otherwise
+    g = GridGraph(3, 3)
+    stamped = [
+        (build_basis(1, 9), "constructed-regime-A"),
+        (build_basis(5, 2), "constructed-regime-B"),
+        (build_basis(3, 3), "constructed-regime-C"),
+        (build_basis(5, 5), "constructed-regime-D"),
+        (brute_force_dimension(g)[1], "oracle"),
+        (enumerate_minimum_bases(g, dimension(3, 3))[0], "oracle"),
+    ]
+    for basis, provenance in stamped:
+        assert (basis.provenance, basis.verified) == (provenance, True)
+        for plain in (ResolvingSet(basis.landmarks), dataclasses.replace(basis)):
+            assert (plain.provenance, plain.verified) == ("user", False)
+            assert plain == basis and hash(plain) == hash(basis)
+    # replace() refuses an unknown field with TypeError and an init=False
+    # one with ValueError
+    for name, value, error in (("verified", True, TypeError), ("provenance", "oracle", ValueError)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plain, name, value)
+        with pytest.raises(error):
+            dataclasses.replace(plain, **{name: value})
 
 
 @settings(max_examples=40, deadline=None)
@@ -343,13 +384,13 @@ def test_full_distance_matrix_refuses_without_making_vertices(monkeypatch):
 
 # Each entry point that checks a landmark set against a grid, as f(g, W).
 # ResolvingSet refuses duplicates itself and leaves the rest to the grid
-# check, here code_table's, whatever its verified flag says.
+# check, here code_table's, which every set goes through.
 LANDMARK_ENTRY_POINTS = {
     "metric_code": lambda g, W: metric_code(g, HUB, W),
     "is_resolving": is_resolving,
     "build_aux_graph": build_aux_graph,
     "code_table": code_table,
-    "ResolvingSet": lambda g, W: code_table(g, ResolvingSet(tuple(W), verified=True)),
+    "ResolvingSet": lambda g, W: code_table(g, ResolvingSet(tuple(W))),
 }
 DUPLICATE_MESSAGE = {
     "metric_code": "duplicate landmarks",
