@@ -5,7 +5,14 @@ cells) admits a closed-form metric dimension and a linear-time minimum
 landmark construction; this package provides both, an auxiliary-graph
 audit of landmark structure, a brute-force oracle for small instances,
 and a hop-count localization demo.
+
+Only the localization demo and the oracle use numpy.  Their names, and the
+``localize`` and ``oracle`` modules themselves, are imported on first
+access (PEP 562), so ``import stargrid`` and the CLI commands that use
+neither load no numpy.
 """
+
+import importlib
 
 from .auxgraph import (
     ComponentReport,
@@ -26,28 +33,6 @@ from .grid import (
     Row,
     parse_vertex,
     vertex_name,
-)
-from .localize import (
-    CodeTable,
-    DecodeResult,
-    NoiseModel,
-    code_matrix,
-    code_table,
-    decode,
-    decode_batch,
-    full_distance_matrix,
-    simulate,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    SearchBudget,
-    SimpleGraph,
-    bfs_distances,
-    brute_force_adjacency_dimension,
-    brute_force_dimension,
-    enumerate_minimum_bases,
-    exists_hub_free_basis,
-    iter_minimum_bases,
 )
 from .resolve import (
     ResolvingSet,
@@ -104,3 +89,46 @@ __all__ = [
     "tiling_plan",
     "vertex_name",
 ]
+
+# The public names of the two numpy modules, by module.
+_LAZY = {
+    "localize": (
+        "CodeTable",
+        "DecodeResult",
+        "NoiseModel",
+        "code_matrix",
+        "code_table",
+        "decode",
+        "decode_batch",
+        "full_distance_matrix",
+        "simulate",
+    ),
+    "oracle": (
+        "DEFAULT_BUDGET",
+        "SearchBudget",
+        "SimpleGraph",
+        "bfs_distances",
+        "brute_force_adjacency_dimension",
+        "brute_force_dimension",
+        "enumerate_minimum_bases",
+        "exists_hub_free_basis",
+        "iter_minimum_bases",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a numpy module, or one of its names, on first access.  A name
+    is then bound in this module, so later reads do not come here."""
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys() | _HOME.keys())

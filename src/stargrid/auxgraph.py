@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
-from .grid import Cell, Col, GridGraph, Row, Vertex, vertex_name
+from .grid import Cell, Col, GridGraph, Row, Vertex, _is_int, vertex_name
 from .resolve import Verdict, _DuplicateLandmark, _read, _relay_verdict
 
 
@@ -57,8 +57,8 @@ class AuxGraph:
     primed copy of ``landmarks[i]`` (``left``), and vertex k + r is relay r
     (``right``).  ``adjacency()``, the oracle's read, returns every vertex's
     neighbour list, built on first request and kept; ``neighbors`` reads one
-    list of it, and ``index_of`` is the identity.  Build instances with
-    :func:`build_aux_graph`.
+    list of it, and ``index_of`` is the identity; both refuse a non-vertex
+    with InputError.  Build instances with :func:`build_aux_graph`.
     """
 
     def __init__(self, g: GridGraph, relays: tuple[int, ...],
@@ -96,14 +96,17 @@ class AuxGraph:
         return range(self.vertex_count())
 
     def index_of(self, v: int) -> int:
+        """The identity on the vertices 0..N-1; anything else, a bool or a
+        float among them (as in :func:`stargrid.grid.check_int`), raises
+        InputError."""
+        if not (_is_int(v) and 0 <= v < self.vertex_count()):
+            raise InputError(f"vertex {v!r} not in auxiliary graph")
         return v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """A primed landmark's relays, or a relay's primed landmarks, in
         increasing order."""
-        if v not in self.vertices():
-            raise InputError(f"vertex {v!r} not in auxiliary graph")
-        return self._adjacency[v]
+        return self._adjacency[self.index_of(v)]
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Every vertex's neighbours in increasing order, vertices in index

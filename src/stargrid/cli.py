@@ -9,7 +9,8 @@ The argument parser is built on the first :func:`main` call and reused by
 every later call in the process, so each subcommand's handler is bound
 once, at that first build.  Parsing reads nothing from earlier calls: each
 call gets a fresh namespace filled from the defaults.  Importing this
-module builds no parser.
+module builds no parser, and loads no numpy: only ``oracle`` and
+``localize`` use it, and their handlers import it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .auxgraph import aux_graph_to_dot, build_aux_graph, classify_components, st
 from .builder import build_basis, dimension, regime_of
 from .errors import BudgetError, InputError
 from .grid import GridGraph, vertex_name
-from .localize import NoiseModel, _check_code_size, simulate
-from .oracle import SearchBudget, brute_force_dimension, enumerate_minimum_bases
 from .resolve import is_resolving, parse_landmark_lines
 
 # The most edges `export` builds.  It holds every edge as a pair of vertex
@@ -121,6 +120,8 @@ def _cmd_hgraph(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import SearchBudget, brute_force_dimension, enumerate_minimum_bases
+
     g = GridGraph(args.m, args.n)
     budget = SearchBudget(max_candidates=args.max_candidates)
     dim, witness = brute_force_dimension(g, budget)
@@ -158,6 +159,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_localize(args) -> int:
+    from .localize import NoiseModel, _check_code_size, simulate
+
     g = GridGraph(args.m, args.n)
     # refuse an oversized table before building its basis
     _check_code_size(g, dimension(args.m, args.n))

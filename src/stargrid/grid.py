@@ -70,7 +70,9 @@ Vertex = Hub | Row | Col | Cell
 
 HUB = Hub()
 
-_VERTEX_RE = re.compile(r"hub|r([1-9]\d*)|c([1-9]\d*)|a([1-9]\d*),([1-9]\d*)")
+# ASCII digits only: \d would also match other scripts' digits, which int()
+# reads, so "r1\u0663" would parse as r13
+_VERTEX_RE = re.compile(r"hub|r([1-9][0-9]*)|c([1-9][0-9]*)|a([1-9][0-9]*),([1-9][0-9]*)")
 
 
 def vertex_name(v: Vertex) -> str:

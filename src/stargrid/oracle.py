@@ -56,7 +56,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .grid import GridGraph, check_int
+from .grid import GridGraph, _is_int, check_int
 from .resolve import ResolvingSet, is_resolving
 
 
@@ -105,8 +105,8 @@ class SimpleGraph:
         self.n = n_vertices
         self._adj: list[set[int]] = [set() for _ in range(n_vertices)]
         for u, v in edges:
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices) or u == v:
-                raise InputError(f"bad edge ({u}, {v})")
+            if not (self._has(u) and self._has(v)) or u == v:
+                raise InputError(f"bad edge ({u!r}, {v!r})")
             self._adj[u].add(v)
             self._adj[v].add(u)
 
@@ -129,13 +129,21 @@ class SimpleGraph:
         return list(range(self.n))
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adj[v])
+        return sorted(self._adj[self.index_of(v)])
 
     def adjacency(self) -> list[list[int]]:
         return [sorted(near) for near in self._adj]
 
     def index_of(self, v: int) -> int:
+        """The identity on the vertices 0..n-1; anything else, a bool or a
+        float among them, raises InputError."""
+        if not self._has(v):
+            raise InputError(f"vertex {v!r} not in graph of {self.n} vertices")
         return v
+
+    def _has(self, v) -> bool:
+        """Whether v is a vertex: an int (not a bool, as in check_int) in 0..n-1."""
+        return _is_int(v) and 0 <= v < self.n
 
 
 def bfs_distances(g: GridGraph) -> np.ndarray:

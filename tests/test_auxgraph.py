@@ -51,9 +51,12 @@ def test_single_stacked_pair_gives_five_path():
     assert aux.neighbors(0) == (2, 4)
     assert aux.neighbors(1) == (3, 4)
     assert aux.neighbors(4) == (0, 1)
-    for bad in (-1, 6, Row(1)):
+    # a bool or a float is no vertex, as in check_int
+    for bad in (-1, 6, Row(1), 1.0, True, False):
         with pytest.raises(InputError, match="not in auxiliary graph"):
             aux.neighbors(bad)
+        with pytest.raises(InputError, match="not in auxiliary graph"):
+            aux.index_of(bad)
 
 
 def test_empty_landmark_set_all_relays_isolated():

@@ -87,6 +87,18 @@ def test_verify_malformed_line(tmp_path, capsys):
     assert "error" in err
 
 
+def test_verify_refuses_non_ascii_digits(tmp_path, capsys):
+    # "r1" then ARABIC-INDIC DIGIT THREE: int() reads it as 13, a row of
+    # this grid, but the text encoding takes ASCII digits only
+    setfile = tmp_path / "u.txt"
+    setfile.write_text("r1\u0663\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--m", "13", "--n", "13",
+                             "--set", str(setfile))
+    assert code == 2
+    assert out == ""
+    assert "invalid vertex encoding" in err
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run_cli(capsys, "verify", "--m", "2", "--n", "2",
                            "--set", "/nonexistent/file.txt")
@@ -557,6 +569,68 @@ def test_no_state_leaks_between_calls(capsys, tmp_path, before, after):
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert fresh[0] != fresh[1]
     assert [run_cli(capsys, *argv) for argv in pair] == fresh
+
+
+# Run in a fresh interpreter: the array-free commands through `main`, then
+# the two numpy commands, then a star import; report what each step saw.
+_COLD_PROBE = """
+import contextlib, io, json, sys
+import stargrid
+from stargrid.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return [code, out.getvalue()]
+
+report = {"dir": dir(stargrid), "unknown": hasattr(stargrid, "no_such_name")}
+report["array_free"] = [run(argv) for argv in json.loads(sys.argv[1])]
+report["numpy_before"] = "numpy" in sys.modules
+report["arrays"] = [run(["oracle", "--m", "2", "--n", "2"]),
+                    run(["localize", "--m", "3", "--n", "3"])]
+report["numpy_after"] = "numpy" in sys.modules
+report["modules"] = [stargrid.localize.__name__, stargrid.oracle.__name__]
+names = {}
+exec("from stargrid import *", names)
+report["star"] = sorted(names.keys() - {"__builtins__"})
+print(json.dumps(report))
+"""
+
+
+def test_array_free_commands_load_no_numpy(tmp_path, capsys):
+    import stargrid
+
+    setfile = tmp_path / "b.txt"
+    setfile.write_text("a1,1\na2,1\na3,2\na3,3\na4,4\na4,5\nr5\n")
+    array_free = [
+        ["dim", "--m", "2", "--n", "5"],
+        ["basis", "--m", "40", "--n", "60", "--format", "json"],
+        ["verify", "--m", "5", "--n", "6", "--set", str(setfile)],
+        ["hgraph", "--m", "5", "--n", "6", "--set", str(setfile), "--strict"],
+        ["sweep", "--n-max", "4"],
+        ["export", "--m", "2", "--n", "3", "--format", "json"],
+    ]
+    proc = _fresh_python("-c", _COLD_PROBE, json.dumps(array_free))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["numpy_before"] is False
+    assert report["numpy_after"] is True
+    # the commands print what they print in this process, numpy loaded
+    assert report["array_free"] == [list(run_cli(capsys, *argv)[:2]) for argv in array_free]
+    assert report["arrays"] == [
+        [0, '{"m": 2, "n": 2, "dim": 2, "witness": ["a1,1", "a1,2"]}\n'],
+        [0, '{"m": 3, "n": 3, "basis_size": 4, "metric": "hamming", "p": 0.0, '
+            '"trials": 1000, "seed": 42, "misidentification_rate": 0.0, '
+            '"ambiguity_rate": 0.0, "min_pairwise_l1": 2}\n'],
+    ]
+    assert report["modules"] == ["stargrid.localize", "stargrid.oracle"]
+    assert report["star"] == sorted(stargrid.__all__)
+    assert set(stargrid.__all__) <= set(report["dir"])
+    assert {"localize", "oracle"} <= set(report["dir"])
+    assert report["unknown"] is False
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stargrid.no_such_name
 
 
 def test_unknown_command(capsys):

@@ -213,6 +213,9 @@ def test_vertex_text_encoding_roundtrip():
 @pytest.mark.parametrize("bad", [
     "", "Hub", "hub ", " r1", "r0", "r01", "c-1", "a1", "a1,", "a1,0",
     "a0,1", "a1, 2", "x3", "r1.5", "a1,2,3", "R1",
+    # digits of other scripts, which int() reads: ARABIC-INDIC THREE,
+    # FULLWIDTH ONE, DEVANAGARI TWO
+    "r1\u0663", "c1\uff11", "a1,2\u0968", "a1\u0663,2", "r\u0663",
 ])
 def test_vertex_text_encoding_strict(bad):
     with pytest.raises(InputError):

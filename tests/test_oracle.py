@@ -441,6 +441,23 @@ def test_simple_graph_validation():
         SimpleGraph(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("edge", [(0, True), (True, 2), (0.0, 1), (0, 2.0), ("0", 1), (-1, 1)])
+def test_simple_graph_refuses_non_vertex_ends(edge):
+    # an end must be an int (not a bool, as in check_int) in range
+    with pytest.raises(InputError, match="bad edge"):
+        SimpleGraph(3, [edge])
+
+
+@pytest.mark.parametrize("v", [7, 4, -1, True, False, 1.0, "1", None])
+def test_simple_graph_lookups_refuse_non_vertices(v):
+    g = SimpleGraph.path(4)
+    with pytest.raises(InputError, match="not in graph of 4 vertices"):
+        g.neighbors(v)
+    with pytest.raises(InputError, match="not in graph of 4 vertices"):
+        g.index_of(v)
+    assert g.neighbors(1) == [0, 2] and g.index_of(3) == 3
+
+
 @pytest.mark.parametrize("order", [-1, True, False, 2.0, "3", None])
 def test_simple_graph_refuses_bad_order(order):
     message = f"vertex count must be an integer >= 0, got {order!r}"
