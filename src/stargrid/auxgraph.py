@@ -13,10 +13,9 @@ order.  Where a vertex must be named, as in the oracle's host protocol,
 it is an integer: the k primed landmarks first, then the relays.  A relay
 landmark is a pendant vertex on its relay and a cell landmark an edge
 between its two relays, so :func:`classify_components` finds the
-components by union-find over the m + n relays.  Every edge has
-exactly one relay end, so a component's edge count is the sum of its relay
-degrees; it is a path exactly when it has one edge fewer than vertices and
-no relay of degree above 2 (primed copies have degree 1 or 2).  Building,
+components by union-find over the m + n relays.  A component is a path
+exactly when it has no cycle and no relay of degree above 2 (primed copies
+have degree 1 or 2).  Building,
 classifying, auditing and :func:`check_relays_resolved` (the verifier's
 relay rule) each take O(m + n + k) time for k landmarks.  The component
 report is computed once per graph, on its first request, and kept:
@@ -36,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
-from .grid import Cell, Col, GridGraph, Row, Vertex, _is_int, vertex_name
+from .grid import GridGraph, Vertex, _is_int, vertex_at_point, vertex_name
 from .resolve import Verdict, _DuplicateLandmark, _read, _relay_verdict
 
 
@@ -75,8 +74,9 @@ class AuxGraph:
         """The landmarks in canonical order, built from the relay footprint
         on first request."""
         m = self.m
-        return tuple([Row(r + 1) if r < m else Col(r - m + 1) for r in self.relays]
-                     + [Cell(r + 1, c - m + 1) for r, c in self.cells])
+        return tuple([vertex_at_point(r + 1, 0) if r < m else vertex_at_point(0, r - m + 1)
+                      for r in self.relays]
+                     + [vertex_at_point(r + 1, c - m + 1) for r, c in self.cells])
 
     @property
     def left(self) -> range:
@@ -129,14 +129,22 @@ class AuxGraph:
 
         Union-find over the relays, with each cell landmark as an edge
         between its two relays; relay landmarks hang off their relay.  Each
-        component's vertex count, edge count and largest relay degree are
-        tallied at its root, and decide whether it is a path.  The fields
-        it reads are never reassigned after :func:`build_aux_graph`, so the
-        kept report cannot go stale.
+        root holds its component's count of two per relay and one per relay
+        landmark, and whether it is no path: a relay of degree above 2, or a
+        cycle, flagged when a cell landmark joins two relays already joined.
+        Both merge as the components do, so one sweep over the roots
+        classifies them.  A component without a cycle is a tree whose t - 1
+        cell landmarks join its t relays, so with p relay landmarks its
+        order is 2t - 1 + p.  The fields it reads are never reassigned after
+        :func:`build_aux_graph`, so the kept report cannot go stale.
         """
         size = self.m + self.n
         degree = self.relay_degree
         parent = list(range(size))
+        count = [2] * size
+        for r in self.relays:
+            count[r] = 3
+        branched = [d > 2 for d in degree]
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -146,32 +154,22 @@ class AuxGraph:
 
         for r, c in self.cells:
             a, b = find(r), find(c)
-            if a != b:
+            if a == b:  # a cycle
+                branched[a] = True
+            else:
                 parent[a] = b
-        order = [0] * size
-        for r in self.relays:
-            order[find(r)] += 1
-        for r, _ in self.cells:
-            order[find(r)] += 1
-        edges = [0] * size
-        top = [0] * size
-        for x in range(size):
-            d = degree[x]
-            if d:
-                root = find(x)
-                order[root] += 1
-                edges[root] += d
-                if d > top[root]:
-                    top[root] = d
+                count[b] += count[a]
+                if branched[a]:
+                    branched[b] = True
         isolated = degree.count(0)
         path_orders = [1] * isolated
         non_path = 0
         for x in range(size):
-            if edges[x]:
-                if top[x] <= 2 and edges[x] == order[x] - 1:
-                    path_orders.append(order[x])
-                else:
+            if parent[x] == x and degree[x]:
+                if branched[x]:
                     non_path += 1
+                else:
+                    path_orders.append(count[x] - 1)
         path_orders.sort(reverse=True)
         max_degree = max(max(degree), 2 if self.cells else 0)
         return ComponentReport(tuple(path_orders), non_path, isolated, max_degree)
@@ -248,7 +246,7 @@ def build_aux_graph(g: GridGraph, landmarks) -> AuxGraph:
     governing relays, so the construction is undefined for it.
     """
     try:
-        relays, cells, degree, hub, _, _ = _read(g, tuple(landmarks))[1]
+        relays, cells, degree, hub, _, _ = _read(g, tuple(landmarks))
     except _DuplicateLandmark as dup:
         raise InputError(f"duplicate landmark {vertex_name(dup.vertex)}") from None
     if hub:

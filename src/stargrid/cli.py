@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 
 from .auxgraph import aux_graph_to_dot, build_aux_graph, classify_components, structural_audit
@@ -40,11 +41,20 @@ MAX_EXPORT_EDGES = 2_400_000
 MAX_SWEEP_ROWS = 10_000_000
 
 
-def _positive(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
+# ASCII digits only, as in the vertex encoding: int() also reads other
+# scripts' digits, underscores and surrounding whitespace, so "\u0663" would
+# read as 3 and "1_0" as 10
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def _integer(value: str) -> int:
+    if not _INTEGER_RE.fullmatch(value):
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _positive(value: str) -> int:
+    n = _integer(value)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
@@ -112,7 +122,7 @@ def _cmd_hgraph(args) -> int:
     print(json.dumps({
         "m": args.m,
         "n": args.n,
-        "basis_size": len(aux.landmarks),
+        "basis_size": len(aux.left),
         "component_report": report.to_dict(),
         "audit": audit.to_dict(),
     }))
@@ -246,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     p.add_argument("--noise", type=float, default=0.0, help="per-coordinate flip probability")
     p.add_argument("--trials", type=_positive, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_integer, default=42)
     p.add_argument("--metric", choices=("hamming", "l1"), default="hamming")
     p.set_defaults(func=_cmd_localize)
 

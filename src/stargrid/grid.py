@@ -94,23 +94,40 @@ def parse_vertex(text: str) -> Vertex:
     m = _VERTEX_RE.fullmatch(text)
     if m is None:
         raise InputError(f"invalid vertex encoding: {text!r}")
-    if m.group(1):
-        return Row(int(m.group(1)))
-    if m.group(2):
-        return Col(int(m.group(2)))
-    if m.group(3):
-        return Cell(int(m.group(3)), int(m.group(4)))
-    return HUB
+    row, col, i, j = m.groups()
+    # "r<i>" is the point (i, 0), "c<j>" (0, j), "a<i>,<j>" (i, j), "hub" (0, 0)
+    return vertex_at_point(int(row or i or 0), int(col or j or 0))
+
+
+# A frozen dataclass's __init__ sets each field through object.__setattr__.
+# The one vertex factory sets the slots of a bare instance through their
+# member descriptors instead, at about half the cost; the vertex is the same
+# class, equal and hash-equal to the constructor's, and as frozen.
+_new = object.__new__
+_set_row_i = Row.i.__set__
+_set_col_j = Col.j.__set__
+_set_cell_i = Cell.i.__set__
+_set_cell_j = Cell.j.__set__
 
 
 def vertex_at_point(x: int, y: int) -> Vertex:
     """The vertex at point (x, y), 0 being a star's centre: the inverse of
-    :meth:`GridGraph.point`."""
-    if x and y:
-        return Cell(x, y)
+    :meth:`GridGraph.point`, and the package's one vertex factory.  Like
+    the constructors, it does not check the indices."""
     if x:
-        return Row(x)
-    return Col(y) if y else HUB
+        if y:
+            v = _new(Cell)
+            _set_cell_i(v, x)
+            _set_cell_j(v, y)
+            return v
+        v = _new(Row)
+        _set_row_i(v, x)
+        return v
+    if y:
+        v = _new(Col)
+        _set_col_j(v, y)
+        return v
+    return HUB
 
 
 def star_distance(x, y):
@@ -162,14 +179,11 @@ class GridGraph:
 
     def vertices(self) -> list[Vertex]:
         """All vertices in canonical order."""
+        m, n = self.m, self.n
         out: list[Vertex] = [HUB]
-        out.extend(Row(i) for i in range(1, self.m + 1))
-        out.extend(Col(j) for j in range(1, self.n + 1))
-        out.extend(
-            Cell(i, j)
-            for i in range(1, self.m + 1)
-            for j in range(1, self.n + 1)
-        )
+        out.extend([vertex_at_point(i, 0) for i in range(1, m + 1)])
+        out.extend([vertex_at_point(0, j) for j in range(1, n + 1)])
+        out.extend([vertex_at_point(i, j) for i in range(1, m + 1) for j in range(1, n + 1)])
         return out
 
     def point(self, v: Vertex) -> tuple[int, int]:
@@ -235,26 +249,24 @@ class GridGraph:
             check_int(idx, None, "vertex index")
         if not 0 <= idx < self.vertex_count():
             raise InputError(f"vertex index {idx} out of range")
-        if idx == 0:
-            return HUB
-        if idx <= self.m:
-            return Row(idx)
+        if idx <= self.m:  # the hub or row relay idx
+            return vertex_at_point(idx, 0)
         if idx <= self.m + self.n:
-            return Col(idx - self.m)
-        flat = idx - self.m - self.n - 1
-        return Cell(flat // self.n + 1, flat % self.n + 1)
+            return vertex_at_point(0, idx - self.m)
+        x, y = divmod(idx - self.m - self.n - 1, self.n)
+        return vertex_at_point(x + 1, y + 1)
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
         """Adjacent vertices, in canonical order."""
         x, y = self.point(v)
         if x and y:
-            return [Row(x), Col(y)]
+            return [vertex_at_point(x, 0), vertex_at_point(0, y)]
         if x:
-            return [HUB] + [Cell(x, j) for j in range(1, self.n + 1)]
+            return [HUB] + [vertex_at_point(x, j) for j in range(1, self.n + 1)]
         if y:
-            return [HUB] + [Cell(i, y) for i in range(1, self.m + 1)]
-        out: list[Vertex] = [Row(i) for i in range(1, self.m + 1)]
-        out.extend(Col(j) for j in range(1, self.n + 1))
+            return [HUB] + [vertex_at_point(i, y) for i in range(1, self.m + 1)]
+        out: list[Vertex] = [vertex_at_point(i, 0) for i in range(1, self.m + 1)]
+        out.extend([vertex_at_point(0, j) for j in range(1, self.n + 1)])
         return out
 
     def adjacency(self) -> list[list[int]]:

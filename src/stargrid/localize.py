@@ -144,7 +144,8 @@ class CodeTable:
     def __init__(self, g: GridGraph, landmarks):
         lm = _ordered_landmarks(g, landmarks)
         _check_code_size(g, len(lm))
-        points, footprint = _read(g, lm)
+        points: list[tuple[int, int]] = []
+        footprint = _read(g, lm, points)
         verdict = _verdict(g, footprint)
         if not verdict:
             x, y = verdict.witness

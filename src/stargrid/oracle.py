@@ -104,7 +104,11 @@ class SimpleGraph:
         check_int(n_vertices, 0, "vertex count")
         self.n = n_vertices
         self._adj: list[set[int]] = [set() for _ in range(n_vertices)]
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):  # not a pair
+                raise InputError(f"bad edge {edge!r}") from None
             if not (self._has(u) and self._has(v)) or u == v:
                 raise InputError(f"bad edge ({u!r}, {v!r})")
             self._adj[u].add(v)

@@ -12,9 +12,10 @@ footprint (their relay landmarks, their cell landmarks as row/column relay
 pairs, and each relay's degree: the auxiliary graph of
 :mod:`stargrid.auxgraph`) in O(m + n + k) time and memory.  Failed checks
 return a deterministic witness: the first colliding pair in canonical
-vertex order.  Landmarks become points (x, y) through
-:meth:`~stargrid.grid.GridGraph.point` alone, and points become the
-footprint in one place, :func:`_footprint`, which
+vertex order.  One batch reader, :func:`_read`, tallies a landmark
+sequence into that footprint in one pass, reading exact vertices in place
+and any other through :meth:`~stargrid.grid.GridGraph.point`; points become
+the footprint in :func:`_footprint`, which
 :func:`~stargrid.builder.build_basis` calls on its constructed points
 directly.
 """
@@ -25,7 +26,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .grid import HUB, Cell, GridGraph, Vertex, parse_vertex, star_distance
+from .grid import (
+    HUB, Cell, Col, GridGraph, Row, Vertex, parse_vertex, star_distance, vertex_at_point,
+)
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,9 @@ class ResolvingSet:
 
     ``ResolvingSet(landmarks)`` is the only public way to build one, and the
     landmarks, any iterable of vertices, stored as a tuple, are all it
-    takes: a set compares and hashes by its landmarks alone.  ``provenance`` records where the set came from.  The package
-    stamps it on the sets it returns: ``constructed-regime-A/B/C/D`` from
+    takes: a set compares and hashes by its landmarks alone.
+    ``provenance`` records where the set came from.  The package stamps it
+    on the sets it returns: ``constructed-regime-A/B/C/D`` from
     :func:`~stargrid.builder.build_basis` and ``oracle`` from the brute-force
     searches.  Every other set, ``dataclasses.replace`` copies of stamped sets
     included, reads ``user``.  Nothing trusts the stamp: code tables re-check
@@ -111,7 +115,8 @@ def _ordered_landmarks(g: GridGraph, W) -> tuple[Vertex, ...]:
 def metric_code(g: GridGraph, v: Vertex, W) -> tuple[int, ...]:
     """Hop distances from v to each landmark, in landmark order.  The
     landmarks are read and refused as in :func:`is_resolving`, then v."""
-    points = _read(g, _ordered_landmarks(g, W))[0]
+    points: list[tuple[int, int]] = []
+    _read(g, _ordered_landmarks(g, W), points)
     x, y = g.point(v)
     return tuple(star_distance(x, a) + star_distance(y, b) for a, b in points)
 
@@ -147,7 +152,7 @@ def is_resolving(g: GridGraph, W) -> Verdict:
     found among the hub and the relays without scanning cells.  Both
     searches read only the relay footprint (see :func:`_footprint`).
     """
-    return _verdict(g, _read(g, _ordered_landmarks(g, W))[1])
+    return _verdict(g, _read(g, _ordered_landmarks(g, W)))
 
 
 def _verdict(g: GridGraph, footprint) -> Verdict:
@@ -203,15 +208,72 @@ def _footprint(m: int, n: int, points):
     return relays, cells, degree, hubs > 0, taken, distinct
 
 
-def _read(g: GridGraph, landmarks: Sequence[Vertex]):
-    """The points and the :func:`_footprint` of landmarks on g.  On a fault,
-    one scan in landmark order raises the first: a landmark that
-    :meth:`GridGraph.index_of` refuses, or a repeat (_DuplicateLandmark)."""
+def _read(g: GridGraph, landmarks: Sequence[Vertex], points: list | None = None):
+    """The :func:`_footprint` of landmarks on g, tallied in one pass; each
+    landmark's point is appended to ``points`` too, when it is a list.
+
+    Exact ``Cell``, ``Row`` and ``Col`` instances with int indices in range
+    are read in place, and any other landmark (the hub, a subclass, an index
+    of an int subclass, a fault) through :meth:`GridGraph.point`.  On a
+    fault, one scan in landmark order raises the first: a landmark that
+    :meth:`GridGraph.index_of` refuses, or a repeat (_DuplicateLandmark).
+    """
+    m, n = g.m, g.n
+    relays: list[int] = []
+    cells: list[tuple[int, int]] = []
+    degree = [0] * (m + n)
+    hubs = 0
+    shift = m - 1  # column j is relay j + shift
     try:
-        points = list(map(g.point, landmarks))
-        footprint = _footprint(g.m, g.n, points)
-        if footprint[-1]:
-            return points, footprint
+        for v in landmarks:
+            t = type(v)
+            if t is Cell:
+                x, y = v.i, v.j
+                if type(x) is int and type(y) is int and 0 < x <= m and 0 < y <= n:
+                    if points is not None:
+                        points.append((x, y))
+                    x -= 1
+                    y += shift
+                    cells.append((x, y))
+                    degree[x] += 1
+                    degree[y] += 1
+                    continue
+            elif t is Row:
+                x = v.i
+                if type(x) is int and 0 < x <= m:
+                    if points is not None:
+                        points.append((x, 0))
+                    x -= 1
+                    relays.append(x)
+                    degree[x] += 1
+                    continue
+            elif t is Col:
+                y = v.j
+                if type(y) is int and 0 < y <= n:
+                    if points is not None:
+                        points.append((0, y))
+                    y += shift
+                    relays.append(y)
+                    degree[y] += 1
+                    continue
+            x, y = g.point(v)
+            if points is not None:
+                points.append((x, y))
+            if x and y:
+                x -= 1
+                y += shift
+                cells.append((x, y))
+                degree[x] += 1
+                degree[y] += 1
+            elif x or y:
+                r = x - 1 if x else y + shift
+                relays.append(r)
+                degree[r] += 1
+            else:
+                hubs += 1
+        taken = set(cells)
+        if hubs < 2 and len(set(relays)) == len(relays) and len(taken) == len(cells):
+            return relays, cells, degree, hubs > 0, taken, True
     except InputError:
         pass
     seen: set[int] = set()
@@ -240,7 +302,7 @@ def _hub_partner(m: int, relays, cells: set, degree) -> Cell | None:
     for r in [r for r in relays if r < m] or range(m):
         for c in by_degree.get(k - degree[r], ()):
             if (r, c) not in cells:
-                return Cell(r + 1, c - m + 1)
+                return vertex_at_point(r + 1, c - m + 1)
     return None
 
 
@@ -269,10 +331,4 @@ def _relay_verdict(g: GridGraph, degree, cells) -> Verdict:
 def parse_landmark_lines(lines: Iterable[str]) -> list[Vertex]:
     """Parse the landmark-set file format: one vertex per line in the text
     encoding, '#' lines ignored; file order defines code order."""
-    out: list[Vertex] = []
-    for raw in lines:
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        out.append(parse_vertex(s))
-    return out
+    return [parse_vertex(s) for s in map(str.strip, lines) if s and s[0] != "#"]

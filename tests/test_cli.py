@@ -31,6 +31,28 @@ def test_dim_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", [
+    # ARABIC-INDIC DIGIT THREE and FULLWIDTH ONE, which int() reads as 3
+    # and 1; an underscore, a sign and a space, which it also takes
+    "\u0663", "\uff11", "1_0", "+3", " 3", "3 ",
+])
+def test_integer_arguments_take_ascii_digits_only(capsys, value):
+    code, out, err = run_cli(capsys, "dim", "--m", value, "--n", "5")
+    assert (code, out) == (2, "")
+    assert f"argument --m: not an integer: {value!r}" in err
+    code, out, err = run_cli(capsys, "localize", "--m", "3", "--n", "3", "--seed", value)
+    assert (code, out) == (2, "")
+    assert f"argument --seed: not an integer: {value!r}" in err
+
+
+def test_integer_arguments_keep_their_range_messages(capsys):
+    code, _, err = run_cli(capsys, "dim", "--m", "-1", "--n", "5")
+    assert code == 2 and "argument --m: must be >= 1, got -1" in err
+    code, out, _ = run_cli(capsys, "localize", "--m", "2", "--n", "2", "--trials", "10",
+                           "--seed", "-7")
+    assert code == 0 and json.loads(out)["seed"] == -7
+
+
 def test_dim_balanced(capsys):
     code, out, _ = run_cli(capsys, "dim", "--m", "14", "--n", "14")
     assert code == 0

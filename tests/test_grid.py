@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -220,6 +224,27 @@ def test_vertex_text_encoding_roundtrip():
 def test_vertex_text_encoding_strict(bad):
     with pytest.raises(InputError):
         parse_vertex(bad)
+
+
+@pytest.mark.parametrize("point, plain", [
+    ((3, 5), Cell(3, 5)), ((3, 0), Row(3)), ((0, 5), Col(5)),
+])
+def test_factory_vertices_are_their_constructors_vertices(point, plain):
+    # vertex_at_point, which parse_vertex and vertex_at also call, fills the
+    # slots of a bare instance; the vertex must be indistinguishable from
+    # the dataclass constructor's
+    g = GridGraph(4, 6)
+    made = [vertex_at_point(*point), parse_vertex(vertex_name(plain)),
+            g.vertex_at(g.index_of(plain))]
+    for v in made:
+        assert type(v) is type(plain) and v == plain and hash(v) == hash(plain)
+        for field in dataclasses.fields(v):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, field.name, 1)
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert copy.copy(v) == v and copy.deepcopy(v) == v
+        assert dataclasses.replace(v) == v
+        assert repr(v) == repr(plain) and g.point(v) == point
 
 
 def test_hub_is_singleton_value():

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -439,25 +440,48 @@ def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
     assert len(calls) == 1
 
 
+class _CountingLandmarks(tuple):
+    """A landmark tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
 def test_code_table_and_decode_read_the_landmarks_once(monkeypatch):
     # the table's one pass over its landmarks gives both the verdict and the
-    # points its matrix is built from; decode reads no vertex
+    # points its matrix is built from; decode reads no landmark.  Exact
+    # vertices are read in place; a Cell subclass forces GridGraph.point,
+    # and is still read once, in the same pass
+    class Marked(Cell):
+        __slots__ = ()
+
     g = GridGraph(6, 9)
     basis = build_basis(6, 9)
     probe = code_matrix(g, basis.landmarks)[40]
-    calls = []
-    reader = GridGraph.point
+    marked = (*basis.landmarks[:3], Marked(*astuple(basis.landmarks[3])), *basis.landmarks[4:])
+    reader, normalize = GridGraph.point, localize._ordered_landmarks
+    for landmarks in (basis.landmarks, marked):
+        counted, calls = [], []
 
-    def counting(self, v):
-        calls.append(v)
-        return reader(self, v)
+        def ordered(g, W):
+            counted.append(_CountingLandmarks(normalize(g, W)))
+            return counted[-1]
 
-    monkeypatch.setattr(GridGraph, "point", counting)
-    table = code_table(g, basis)
-    assert calls == list(basis.landmarks)
-    calls.clear()
-    assert decode(probe, table).vertex == g.vertex_at(40)
-    assert calls == []
+        def counting(self, v):
+            calls.append(v)
+            return reader(self, v)
+
+        monkeypatch.setattr(localize, "_ordered_landmarks", ordered)
+        monkeypatch.setattr(GridGraph, "point", counting)
+        table = code_table(g, landmarks)
+        assert [lm.passes for lm in counted] == [1]
+        assert [type(v) for v in calls] == [Marked] * (landmarks is marked)
+        calls.clear()
+        assert decode(probe, table).vertex == g.vertex_at(40)
+        assert [lm.passes for lm in counted] == [1] and calls == []
 
 
 def test_decode_refuses_an_oversized_matrix():

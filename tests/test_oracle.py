@@ -441,11 +441,18 @@ def test_simple_graph_validation():
         SimpleGraph(3, [(1, 1)])
 
 
-@pytest.mark.parametrize("edge", [(0, True), (True, 2), (0.0, 1), (0, 2.0), ("0", 1), (-1, 1)])
+@pytest.mark.parametrize("edge", [
+    (0, True), (True, 2), (0.0, 1), (0, 2.0), ("0", 1), (-1, 1),
+    # not pairs: three ends, one end, no end, and no sequence at all
+    (0, 1, 2), (0,), (), 0, None,
+])
 def test_simple_graph_refuses_non_vertex_ends(edge):
-    # an end must be an int (not a bool, as in check_int) in range
+    # an edge must be a pair of ends, each an int (not a bool, as in
+    # check_int) in range
     with pytest.raises(InputError, match="bad edge"):
         SimpleGraph(3, [edge])
+    with pytest.raises(InputError, match="bad edge"):
+        SimpleGraph(3, [(0, 1), edge])
 
 
 @pytest.mark.parametrize("v", [7, 4, -1, True, False, 1.0, "1", None])
