@@ -240,13 +240,13 @@ def build_aux_graph(g: GridGraph, landmarks) -> AuxGraph:
     """Build the auxiliary graph for a landmark set on g.
 
     Landmarks are canonically ordered regardless of input order, so the
-    edge list is byte-for-byte reproducible.  They are read into points and
-    a relay footprint once; invalid and duplicate landmarks are refused, the
+    edge list is byte-for-byte reproducible.  They are read into a relay
+    footprint once; invalid and duplicate landmarks are refused, the
     first fault in input order winning, and the hub after that: it has no
     governing relays, so the construction is undefined for it.
     """
     try:
-        relays, cells, degree, hub, _, _ = _read(g, tuple(landmarks))
+        relays, cells, degree, hub, _ = _read(g, tuple(landmarks))
     except _DuplicateLandmark as dup:
         raise InputError(f"duplicate landmark {vertex_name(dup.vertex)}") from None
     if hub:

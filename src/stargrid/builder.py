@@ -22,8 +22,9 @@ gives the linear system
 whose solution depends only on (m + n) % 3: remainder 0 tiles everything,
 remainder 1 leaves the last column untouched, remainder 2 additionally puts
 the last row relay itself into the landmark set.  Every constructed set is
-verified from its points before it is returned (see :func:`build_basis`);
-a verification failure is an internal error, never an expected outcome.
+verified, as the very tuple of vertices the caller receives, before it is
+returned (see :func:`build_basis`); a verification failure is an internal
+error, never an expected outcome.
 Construction and verification are both O(m + n), so the whole call is.
 """
 
@@ -33,12 +34,13 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, InputError
 from .grid import Col, GridGraph, Row, Vertex, check_sides, vertex_at_point
-from .resolve import ResolvingSet, _footprint, _verdict
+from .resolve import ResolvingSet, is_resolving
 
 # The most landmarks :func:`build_basis` constructs.  Building and verifying
-# a basis peaks near 0.32 KB per landmark (traced at (300000, 300000): its
-# points, then the verifier's relay footprint or its vertices), so this
-# keeps one near 0.8 GB: square grids up to sides of about 1.9 million.
+# a basis peaks near 0.30 KB per landmark (traced at (300000, 300000): its
+# points and vertices, then the vertices and the verifier's relay
+# footprint), so this keeps one near 0.75 GB: square grids up to sides of
+# about 1.9 million.
 MAX_BASIS_LANDMARKS = 2_500_000
 
 
@@ -142,10 +144,11 @@ def build_basis(m: int, n: int) -> ResolvingSet:
 
     The result has exactly dimension(m, n) landmarks, never contains the
     hub, and is deterministic for fixed inputs.  Verification is a hard
-    postcondition: the constructed points are checked for code injectivity
-    over every vertex before any landmark vertex is made.  The check reads
-    only which rows and columns the landmarks touch, so it adds O(m + n)
-    time and memory, and no (m n)-sized array is ever built.  A basis past
+    postcondition: :func:`~stargrid.resolve.is_resolving` checks the
+    returned landmark tuple itself for code injectivity over every vertex,
+    and a repeated or off-grid landmark fails it too.  The check reads only
+    which rows and columns the landmarks touch, so it adds O(m + n) time
+    and memory, and no (m n)-sized array is ever built.  A basis past
     ``MAX_BASIS_LANDMARKS`` landmarks is refused with BudgetError before
     any is built.
     """
@@ -156,30 +159,30 @@ def build_basis(m: int, n: int) -> ResolvingSet:
         )
     reg = regime_of(m, n)
     if reg.normalized:  # point (x, y) of the (n, m) grid is (y, x) of this one
-        points = [(x, y) for y, x in _construct(n, m, reg.tag)]
+        landmarks = tuple([vertex_at_point(x, y) for y, x in _construct(n, m, reg.tag)])
     else:
-        points = _construct(m, n, reg.tag)
-    footprint = _footprint(m, n, points)
-    if len(points) != want or not footprint[-1]:
+        landmarks = tuple([vertex_at_point(x, y) for x, y in _construct(m, n, reg.tag)])
+    try:
+        verdict = is_resolving(GridGraph(m, n), landmarks)
+    except InputError:  # a repeated or off-grid landmark
+        verdict = None
+    if verdict is None or len(landmarks) != want:
         raise RuntimeError(
-            f"internal error: constructed {len(points)} landmarks for ({m}, {n}), "
+            f"internal error: constructed {len(landmarks)} landmarks for ({m}, {n}), "
             f"expected {want} distinct ones"
         )
-    verdict = _verdict(GridGraph(m, n), footprint)
-    del footprint  # so that the peak holds the footprint or the vertices, not both
     if not verdict:
         raise RuntimeError(
             f"internal error: constructed set for ({m}, {n}) fails to resolve, "
             f"witness {verdict.witness}"
         )
-    landmarks = tuple([vertex_at_point(x, y) for x, y in points])
     return ResolvingSet._distinct(landmarks, f"constructed-regime-{reg.tag}")
 
 
 # The constructions below emit landmarks as points (x, y) of the normalized
 # (rows <= columns) grid, with 0 as a star's centre: Cell(i, j) is (i, j),
-# Row(i) is (i, 0) and Col(j) is (0, j).  build_basis verifies them in the
-# caller's orientation, then makes each vertex once.
+# Row(i) is (i, 0) and Col(j) is (0, j).  build_basis makes each vertex
+# once, in the caller's orientation, then verifies the vertices.
 
 
 def _construct(m: int, n: int, tag: str) -> list[tuple[int, int]]:

@@ -14,10 +14,10 @@ pairs, and each relay's degree: the auxiliary graph of
 return a deterministic witness: the first colliding pair in canonical
 vertex order.  One batch reader, :func:`_read`, tallies a landmark
 sequence into that footprint in one pass, reading exact vertices in place
-and any other through :meth:`~stargrid.grid.GridGraph.point`; points become
-the footprint in :func:`_footprint`, which
-:func:`~stargrid.builder.build_basis` calls on its constructed points
-directly.
+and any other through :meth:`~stargrid.grid.GridGraph.point`.  It is the
+package's one tally: the verifier, :func:`metric_code`, the code table, the
+aux graph and :func:`~stargrid.builder.build_basis`, which verifies the
+very tuple it returns, all read landmarks through it.
 """
 
 from __future__ import annotations
@@ -69,10 +69,10 @@ class ResolvingSet:
     @classmethod
     def _distinct(cls, landmarks: tuple[Vertex, ...], provenance: str) -> "ResolvingSet":
         """Build without the duplicate check, for landmarks known distinct:
-        the oracle's strictly increasing index tuples, or a tuple made from
-        points whose relay footprint has just been found distinct.  Only the
-        package's own searches and construction call this, each with its
-        provenance, after a full resolution check."""
+        the oracle's strictly increasing index tuples, or a constructed
+        tuple that :func:`is_resolving` has just read without a repeat.
+        Only the package's own searches and construction call this, each
+        with its provenance, after a full resolution check."""
         self = object.__new__(cls)
         self.__dict__.update(landmarks=landmarks, provenance=provenance)
         return self
@@ -150,14 +150,14 @@ def is_resolving(g: GridGraph, W) -> Verdict:
     untouched row and column, or a lone landmark cell at (i, j')), and
     relays precede cells in canonical order, so the first colliding pair is
     found among the hub and the relays without scanning cells.  Both
-    searches read only the relay footprint (see :func:`_footprint`).
+    searches read only the relay footprint (see :func:`_read`).
     """
     return _verdict(g, _read(g, _ordered_landmarks(g, W)))
 
 
 def _verdict(g: GridGraph, footprint) -> Verdict:
-    """:func:`is_resolving` on a :func:`_footprint` of distinct points."""
-    relays, cells, degree, hub, taken, _ = footprint
+    """:func:`is_resolving` on the relay footprint that :func:`_read` returns."""
+    relays, cells, degree, hub, taken = footprint
     if not hub:
         cell = _hub_partner(g.m, relays, taken, degree)
         if cell is not None:
@@ -173,50 +173,23 @@ class _DuplicateLandmark(InputError):
         self.vertex = vertex
 
 
-def _footprint(m: int, n: int, points):
-    """(relay landmarks, cell landmarks, relay degrees, whether the hub is a
-    landmark, the set of cell landmarks, whether the points are distinct)
-    of landmark points on the (m, n) grid, in their order.  Relays are
+def _read(g: GridGraph, landmarks: Sequence[Vertex], points: list | None = None):
+    """The relay footprint of distinct landmarks on g, tallied in one pass:
+    (relay landmarks, cell landmarks, relay degrees, whether the hub is a
+    landmark, the set of cell landmarks), in landmark order.  Relays are
     numbered rows 0..m-1, then columns m..m+n-1, so relay r has canonical
     index r + 1.  A cell landmark is its (row relay, column relay) pair, and
     a relay's degree counts the landmarks touching it: itself and the cell
-    landmarks in its row or column.  A repeat shows as a repeated relay, a
-    repeated cell pair or a second hub."""
-    relays: list[int] = []
-    cells: list[tuple[int, int]] = []
-    degree = [0] * (m + n)
-    hubs = 0
-    shift = m - 1  # column j is relay j + shift
-    for x, y in points:
-        if y:
-            y += shift
-            degree[y] += 1
-            if x:
-                x -= 1
-                cells.append((x, y))
-                degree[x] += 1
-            else:
-                relays.append(y)
-        elif x:
-            x -= 1
-            relays.append(x)
-            degree[x] += 1
-        else:
-            hubs += 1
-    taken = set(cells)
-    distinct = hubs < 2 and len(set(relays)) == len(relays) and len(taken) == len(cells)
-    return relays, cells, degree, hubs > 0, taken, distinct
-
-
-def _read(g: GridGraph, landmarks: Sequence[Vertex], points: list | None = None):
-    """The :func:`_footprint` of landmarks on g, tallied in one pass; each
-    landmark's point is appended to ``points`` too, when it is a list.
+    landmarks in its row or column.  Each landmark's point is appended to
+    ``points`` too, when it is a list.
 
     Exact ``Cell``, ``Row`` and ``Col`` instances with int indices in range
     are read in place, and any other landmark (the hub, a subclass, an index
     of an int subclass, a fault) through :meth:`GridGraph.point`.  On a
     fault, one scan in landmark order raises the first: a landmark that
     :meth:`GridGraph.index_of` refuses, or a repeat (_DuplicateLandmark).
+    A repeat shows in the tally as a repeated relay, a repeated cell pair or
+    a second hub, so a footprint is returned only for distinct landmarks.
     """
     m, n = g.m, g.n
     relays: list[int] = []
@@ -273,7 +246,7 @@ def _read(g: GridGraph, landmarks: Sequence[Vertex], points: list | None = None)
                 hubs += 1
         taken = set(cells)
         if hubs < 2 and len(set(relays)) == len(relays) and len(taken) == len(cells):
-            return relays, cells, degree, hubs > 0, taken, True
+            return relays, cells, degree, hubs > 0, taken
     except InputError:
         pass
     seen: set[int] = set()
@@ -292,14 +265,19 @@ def _hub_partner(m: int, relays, cells: set, degree) -> Cell | None:
     That is a cell (i, j) that is no landmark while each landmark touches
     relay r_i or c_j, and so none touches both: their degrees sum to the
     landmark count.  So a row or column relay landmark must be r_i or c_j.
-    Columns are bucketed by degree, so each row scans only past its own
-    landmark cells: O(m + n + k) in all.
+    When the largest row and column degrees sum below the count, no cell
+    qualifies.  Otherwise columns are bucketed by degree, so each row scans
+    only past its own landmark cells: O(m + n + k) in all.
     """
     k = len(relays) + len(cells)
+    rows = [r for r in relays if r < m] or range(m)
+    cols = [c for c in relays if c >= m] or range(m, len(degree))
+    if max(map(degree.__getitem__, rows)) + max(map(degree.__getitem__, cols)) < k:
+        return None
     by_degree: dict[int, list[int]] = {}
-    for c in [c for c in relays if c >= m] or range(m, len(degree)):
+    for c in cols:
         by_degree.setdefault(degree[c], []).append(c)
-    for r in [r for r in relays if r < m] or range(m):
+    for r in rows:
         for c in by_degree.get(k - degree[r], ()):
             if (r, c) not in cells:
                 return vertex_at_point(r + 1, c - m + 1)

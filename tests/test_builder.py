@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -217,9 +218,25 @@ def test_build_basis_refuses_a_faulty_construction(monkeypatch, points, message)
         build_basis(4, 4)
 
 
-def test_build_basis_verifies_its_points_without_reading_vertices(monkeypatch):
-    # the constructed points go straight into the relay footprint, and each
-    # vertex is made once, after the verdict
+@pytest.mark.parametrize("wrong, message", [
+    (Cell(1, 1), r"constructed 5 landmarks for \(4, 4\), expected 5 distinct ones$"),
+    (Cell(9, 9), r"constructed 5 landmarks for \(4, 4\), expected 5 distinct ones$"),
+    (Col(4), r"constructed set for \(4, 4\) fails to resolve, witness \(Row\(i=3\), Col\(j=3\)\)$"),
+], ids=["repeat", "off-grid", "not-resolving"])
+def test_build_basis_verifies_the_tuple_it_returns(monkeypatch, wrong, message):
+    # the check reads the very vertices the caller receives, so a fault in
+    # making one from its point is an internal error too: (2, 3) is a2,3 of
+    # the (4, 4) basis a1,1 a1,2 a2,3 a3,3 r4
+    make = builder.vertex_at_point
+    monkeypatch.setattr(builder, "vertex_at_point",
+                        lambda x, y: wrong if (x, y) == (2, 3) else make(x, y))
+    with pytest.raises(RuntimeError, match="^internal error: " + message):
+        build_basis(4, 4)
+
+
+def test_build_basis_never_calls_grid_point(monkeypatch):
+    # each landmark is made once from its point, and the check reads the
+    # exact Cell, Row and Col instances in place
     def refuse(*args):
         raise AssertionError("build_basis read a landmark vertex")
 
@@ -229,6 +246,21 @@ def test_build_basis_verifies_its_points_without_reading_vertices(monkeypatch):
     monkeypatch.undo()
     for (m, n), basis in zip(grids, bases):
         assert len(basis) == dimension(m, n) and is_resolving(GridGraph(m, n), basis), (m, n)
+
+
+def test_build_basis_memory_per_landmark():
+    # the traced peak of one build (its points and vertices, then the
+    # verifier's relay footprint beside the vertices) stays under 0.34 KB a
+    # landmark; CPython 3.11 traces 0.302 KB at (30000, 30000)
+    build_basis(50, 50)  # first-call imports and caches are not the build's
+    tracemalloc.start()
+    try:
+        basis = build_basis(30000, 30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == dimension(30000, 30000) == 40000
+    assert peak / len(basis) < 0.34 * 1024
 
 
 def test_boundary_double_rows_matches_paired_pattern():
