@@ -34,31 +34,54 @@ Vertices carry 1-based indices to match the text encoding ("hub", "r3",
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 from .errors import InputError
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen_dataclass(cls):
+    """``dataclass(frozen=True, slots=True)``, with the assignment guards
+    that ``frozen`` means.  ``slots=True`` rebuilds the class, and the
+    generated ``__setattr__`` and ``__delattr__`` still name the old one, so
+    assigning or deleting a name that is not a field raised TypeError rather
+    than FrozenInstanceError; these name the rebuilt class."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen_dataclass
 class Hub:
     """The unique center vertex; degree m + n."""
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_dataclass
 class Row:
     """Row relay, 1-based index; degree n + 1."""
 
     i: int
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_dataclass
 class Col:
     """Column relay, 1-based index; degree m + 1."""
 
     j: int
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_dataclass
 class Cell:
     """Leaf at row i, column j; degree 2."""
 
@@ -158,7 +181,7 @@ def check_int(value, least: int | None, what: str) -> None:
         raise InputError(f"{what} must be an integer{bound}, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_dataclass
 class GridGraph:
     """The double-star grid with m row relays and n column relays.
 

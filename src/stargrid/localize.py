@@ -28,22 +28,26 @@ from .resolve import _ordered_landmarks, _read, _verdict
 
 _METRICS = ("hamming", "l1")
 
-# A batch decode holds one int32 cost per (probe, vertex) pair; it takes
-# probes in chunks of at most this many cells (512 KB), or one probe at a time.
+# A batch decode holds one int32 cost per (probe, vertex) pair, and about as
+# much again while it sums them (see :func:`_canonical_sum`); it takes probes
+# in chunks of at most this many cells (512 KB), or one probe at a time.
 _CHUNK_CELLS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 
-# The most cells :func:`code_matrix` allocates.  A code table's matrix is
-# built as uint8 and kept as int16, about 3 bytes per cell, so this caps one
-# near 300 MB; the (300, 300) grid's basis table has 36 million cells.  Only
-# :func:`decode` reads a table's matrix, so only it refuses past this cap.
+# The most cells :func:`code_matrix` allocates.  It sums the uint8 matrix
+# through a uint8 temporary of about its size, 2 bytes per cell at the peak,
+# and a code table keeps the matrix as int16, 3 bytes per cell at the peak,
+# so this caps a table near 300 MB; the (300, 300) grid's basis table has 36
+# million cells.  Only :func:`decode` reads a table's matrix, so only it
+# refuses past this cap.
 MAX_TABLE_CELLS = 100_000_000
 
 # The most vertices and landmarks a code table takes (see
 # :func:`_check_code_size`).  Without its matrix a table holds about 8 bytes
 # per vertex, most of them an int64 landmark-count sum over the m x n cells,
-# and a batch decode's cost row takes 4, so this caps a table near 80 MB.
+# and a batch decode's cost row takes 4 (8 while it is summed), so this caps
+# a table, and a one-probe decode's costs, near 80 MB.
 # A probe's distance to a code is an int32 sum of k entries from 0 to 32767,
 # exact while k * 32767 < 2^31.
 MAX_TABLE_VERTICES = 10_000_000
@@ -201,73 +205,86 @@ class CodeTable:
 
     @functools.cached_property
     def _plan(self):
-        """The batch decode's star distances by class, and its sum plan with
-        the targets split into line and point ones (see :meth:`costs`),
-        built on first use."""
+        """The landmarks' star distances by class and the batch decode's sum
+        plan (see :meth:`costs`): the layers of (term, line) pairs, and the
+        cell landmarks with their canonical indices, built on first use."""
         m, n = self.graph.m, self.graph.n
-        ab = np.stack([self.a, self.b])
-        # star distance from each landmark's a (row 0) and b (row 1) to the
-        # classes' points: 0, itself and any other point (-1)
-        s = star_distance(np.stack([np.zeros_like(ab), ab, np.full_like(ab, -1)]), ab)
-        dist = (s[:, None, 0] + s[None, :, 1]).astype(np.int32)[..., None]
-        # the x and y of classes 0 and 1; class 1 is empty (-1) when a = 0
-        xs, ys = np.stack([np.zeros_like(ab), np.where(ab != 0, ab, -1)], axis=1)
-        # row terms land on x in 0..m, column terms on m + 1 + y, and point
-        # terms on m + n + 2 plus the point's canonical index
-        target = np.full((3, 3, ab.shape[1]), -1, dtype=np.intp)
-        target[:2, 2] = xs
-        target[2, :2] = np.where(ys < 0, -1, m + 1 + ys)
-        x, y = xs[:, None], ys[None, :]
-        target[:2, :2] = np.where((x < 0) | (y < 0), -1, m + n + 2 + _canonical(m, n, x, y))
-        take, starts, targets = _sum_plan(target)
-        split = np.searchsorted(targets, m + n + 2)
-        return dist, take, starts, targets[:split], targets[split:] - (m + n + 2)
+        a, b = self.a, self.b
+        # s(., a) at classes 0, 1 and 2 of x is s(0, a), 0 and 1 + s(0, a)
+        sx = np.multiply.outer(a != 0, (1, 0, 1)) + (0, 0, 1)
+        sy = np.multiply.outer(b != 0, (1, 0, 1)) + (0, 0, 1)
+        dist = (sx[:, :, None] + sy[:, None, :])[..., None].astype(np.int16)
+        # row term w goes to line a and column term k + w to line m + b, the
+        # canonical indices of their relays; layer d takes the d-th term of
+        # each line
+        line = np.concatenate([a, (m + b) * (b != 0)])
+        term = np.flatnonzero(line)
+        term = term[np.argsort(line[term], kind="stable")]
+        line = line[term]
+        depth = np.arange(term.shape[0]) - np.searchsorted(line, line)
+        layers = [(term[depth == d], line[depth == d]) for d in range(depth.max(initial=-1) + 1)]
+        cells = np.flatnonzero((a != 0) & (b != 0))
+        return dist, layers, cells, m + n + (a[cells] - 1) * n + b[cells]
 
     def costs(self, probes: np.ndarray, metric: str) -> np.ndarray:
         """(T, N) int32 Hamming or L1 distances from each probe, a row of
-        nonnegative integers, to the code of every vertex in canonical order,
-        the order of ``matrix``, from row, column and point terms, never from
+        integers from 0 to 32767, to the code of every vertex in canonical
+        order, the order of ``matrix``, from line and point terms, never from
         the N x k matrix.
 
         Landmark w's distance to vertex (x, y) is s(x, a) + s(y, b).  The
         star distance s(., a) takes one value at x = 0, one at x = a and a
         generic one at every other x: classes 0, 1 and 2 (class 1 is empty
-        when a = 0).  So a probe entry's cost against w (a Hamming mismatch
-        or an L1 error) at a vertex whose x has class i and whose y has
-        class j is, with F[i, j] that cost,
+        when a = 0).  Let F[i, j] be a probe entry's cost against w (a
+        Hamming mismatch or an L1 error) at a vertex whose x has class i and
+        whose y has class j.  Summed over the landmarks, where "a = x" sums
+        over the landmarks of row x and "b = y" over those of column y, the
+        costs are
 
-            F[2, 2] + (F[i, 2] - F[2, 2]) + (F[2, j] - F[2, 2]) + P[i, j],
+            hub (0, 0)           sum F[0, 0]
+            row relay (x, 0)     sum F[2, 0] + sum_{a = x} (F[1, 0] - F[2, 0])
+            column relay (0, y)  sum F[0, 2] + sum_{b = y} (F[0, 1] - F[0, 2])
+            cell (x, y)          sum F[2, 2] + sum_{a = x} (F[1, 2] - F[2, 2])
+                                 + sum_{b = y} (F[2, 1] - F[2, 2]) + P,
 
-        where P[i, j] = F[i, j] - F[i, 2] - F[2, j] + F[2, 2] vanishes unless
-        i, j < 2, so it applies at the (up to 4) points {0, a} x {0, b}.
-        Summed over the landmarks, a probe's cost to every vertex is a
-        constant plus a row term R[x] plus a column term C[y] plus
-        corrections at no more than 4k points: O(N + k) per probe.  One
-        gather and one ``reduceat`` sum every term by its target: the m + 1
-        row and n + 1 column terms, then the corrections at the points'
-        canonical indices.  The plan's arrays are indexed (class of x, class
-        of y, landmark, probe), so that each numpy loop runs over the probes
-        of a chunk.
+        where P = F[1, 1] - F[1, 2] - F[2, 1] + F[2, 2] applies only at a
+        cell landmark's own cell.  So a relay reads one line term and a cell
+        a row term plus a column term, with at most k corrections: O(N + k)
+        per probe.  The sums by row and column run in layers, each adding at
+        most one landmark's term to a line, so each layer is one gather and
+        one add, and there are as many layers as the most landmarks in a row
+        or column.  The class costs are indexed (landmark, class of x, class
+        of y, probe), so that each numpy loop runs over the probes of a
+        chunk.
         """
         m, n = self.graph.m, self.graph.n
-        dist, take, starts, lines_at, points_at = self._plan
-        t = probes.shape[0]
-        q = probes.T.astype(np.int32)
+        dist, layers, cells, cells_at = self._plan
+        # entries reach 32767, so int16, as dist is: mixed dtypes would cast
+        # in buffered chunks
+        q = probes.T.astype(np.int16, order="C")[:, None, None]
         if metric == "hamming":
-            f = (q != dist).astype(np.int32)
+            f = (q != dist).view(np.int8)
         else:
-            f = np.abs(q - dist)
-        generic = f[2, 2].copy()
-        f -= generic
-        f[:2, :2] -= f[:2, 2:] + f[2:, :2]
-        sums = np.add.reduceat(f.reshape(-1, t)[take], starts, axis=0, dtype=np.int32)
-        split = lines_at.shape[0]
-        lines = np.zeros((m + n + 2, t), dtype=np.int32)
-        lines[lines_at] = sums[:split]
-        lines[:m + 1] += generic.sum(axis=0, dtype=np.int32)
-        lines = np.ascontiguousarray(lines.T)
-        out = _canonical_sum(lines[:, :m + 1], lines[:, m + 1:])
-        out[:, points_at] += sums[split:].T
+            f = q - dist
+            np.abs(f, out=f)
+        # row terms F[1, j] - F[2, j], then column terms F[i, 1] - F[i, 2],
+        # for the relays (i, j = 0) and the cells (i, j = 2)
+        terms = np.concatenate([f[:, 1, ::2] - f[:, 2, ::2], f[:, ::2, 1] - f[:, ::2, 2]])
+        # line i: the cost of the hub or relay with canonical index i, and
+        # the term of the cells in its row or column
+        lines = np.zeros((m + n + 1, 2, probes.shape[0]), dtype=np.int32)
+        for term, line in layers:
+            lines[line] += terms[term]
+        # sum F[2, 0] = sum F[0, 2]: both classes are 1 + s(0, a) + s(0, b)
+        total = f[:, ::2, ::2].sum(axis=0, dtype=np.int32)
+        lines[:, 0] += total[1, 0]
+        lines[0, 0] = total[0, 0]
+        lines[1:m + 1, 1] += total[1, 1]
+        lines = np.ascontiguousarray(lines.transpose(2, 1, 0))
+        # the cells' row plus column terms; the hub and relays are overwritten
+        out = _canonical_sum(lines[:, 1, :m + 1], lines[:, 1, m:])
+        out[:, :m + n + 1] = lines[:, 0]
+        out[:, cells_at] += (f[cells, 1, 1] - f[cells, 2, 1] - terms[cells, 1]).T
         return out
 
 
@@ -367,12 +384,6 @@ def decode_batch(probes, table: CodeTable, metric: str = "hamming") -> list[Deco
     return out
 
 
-def _canonical(m: int, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Canonical index of each point (x, y), as :meth:`GridGraph.index_of`."""
-    return np.where(x == 0, np.where(y == 0, 0, m + y),
-                    np.where(y == 0, x, m + n + (x - 1) * n + y))
-
-
 def _points(m: int, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The point (x, y) of each canonical index, as :meth:`GridGraph.point`."""
     cell = idx - (m + n + 1)
@@ -432,10 +443,11 @@ def _canonical_sum(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     t, m, n = rows.shape[0], rows.shape[1] - 1, cols.shape[1] - 1
     out = np.empty((t, (m + 1) * (n + 1)), dtype=rows.dtype)
     # canonical order is (x, 0) for x = 0..m (hub and rows), then (x, y) for
-    # x = 0..m and y = 1..n row-major (columns, then cells), whose (t, m + 1,
-    # n) reshape is a view of out
+    # x = 0..m and y = 1..n row-major (columns, then cells); that block is
+    # summed into a contiguous array and copied in, which beats a broadcast
+    # into out's strided view
     np.add(rows, cols[:, :1], out=out[:, :m + 1])
-    np.add(rows[:, :, None], cols[:, None, 1:], out=out[:, m + 1:].reshape(t, m + 1, n))
+    out[:, m + 1:] = (rows[:, :, None] + cols[:, None, 1:]).reshape(t, -1)
     return out
 
 
@@ -448,18 +460,6 @@ def _check_code_size(g: GridGraph, k: int) -> None:
             raise BudgetError(
                 f"code table on ({g.m}, {g.n}) has {value} {what}, limit is {limit}"
             )
-
-
-def _sum_plan(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How to sum the rows of an array laid out like ``target`` by their
-    target (-1 drops a row): the rows to gather, sorted by target, the start
-    of each run of one target, and the distinct targets."""
-    flat = target.ravel()
-    take = np.flatnonzero(flat >= 0)
-    take = take[np.argsort(flat[take], kind="stable")]
-    keys = flat[take]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return take, starts, keys[starts]
 
 
 def _nearest_batch(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -497,17 +497,22 @@ def _noise_key(seed: int) -> int:
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output of each uint64 counter; products wrap mod 2^64."""
-    z = z + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's output of each uint64 counter, written over z and
+    returned; products wrap mod 2^64."""
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _hop_noise(key: int, first: int, count: int, k: int, p: float) -> np.ndarray:
     """(count, k) int8 hop errors in {-1, 0, 1} of trials first, first + 1,
     ..., drawn as :class:`NoiseModel` states, before clamping."""
-    trial = np.arange(count, dtype=np.uint64) + np.uint64((key + first) & _MASK64)
+    trial = np.arange(count, dtype=np.uint64)
+    trial += np.uint64((key + first) & _MASK64)
     h = _splitmix64(_splitmix64(trial)[:, None] + np.arange(k, dtype=np.uint64))
     # (h >> 11) / 2^53 < p exactly when the integer h >> 11 < ceil(p 2^53)
     flip = (h >> np.uint64(11)) < np.uint64(math.ceil(p * 2.0**53))
@@ -528,7 +533,8 @@ def _noisy_codes(
         idx = (lo % total + np.arange(count)) % total
         codes = table.ideal(idx)
         if p > 0.0:
-            codes = np.maximum(codes + _hop_noise(key, lo, count, table.code_length, p), 0)
+            codes += _hop_noise(key, lo, count, table.code_length, p)
+            np.maximum(codes, 0, out=codes)
         yield idx, codes
 
 

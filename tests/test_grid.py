@@ -54,7 +54,7 @@ def test_vertices_canonical_order():
 
 def test_index_roundtrip():
     # point, index_of, vertex_at and vertex_at_point agree on every vertex,
-    # and so do localize's array maps between canonical indices and points
+    # and so does localize's array map from canonical indices to points
     for m, n in [(1, 1), (1, 7), (4, 4), (3, 5), (9, 6)]:
         g = GridGraph(m, n)
         points = []
@@ -67,7 +67,6 @@ def test_index_roundtrip():
         assert len(set(points)) == g.vertex_count(), (m, n)
         x, y = localize._points(m, n, np.arange(g.vertex_count()))
         assert list(zip(x.tolist(), y.tolist())) == points, (m, n)
-        assert localize._canonical(m, n, x, y).tolist() == list(range(g.vertex_count())), (m, n)
         with pytest.raises(InputError, match=f"vertex index {g.vertex_count()} out of range"):
             g.vertex_at(g.vertex_count())
         with pytest.raises(InputError, match="vertex index -1 out of range"):
@@ -227,7 +226,7 @@ def test_vertex_text_encoding_strict(bad):
 
 
 @pytest.mark.parametrize("point, plain", [
-    ((3, 5), Cell(3, 5)), ((3, 0), Row(3)), ((0, 5), Col(5)),
+    ((3, 5), Cell(3, 5)), ((3, 0), Row(3)), ((0, 5), Col(5)), ((0, 0), Hub()),
 ])
 def test_factory_vertices_are_their_constructors_vertices(point, plain):
     # vertex_at_point, which parse_vertex and vertex_at also call, fills the
@@ -238,13 +237,28 @@ def test_factory_vertices_are_their_constructors_vertices(point, plain):
             g.vertex_at(g.index_of(plain))]
     for v in made:
         assert type(v) is type(plain) and v == plain and hash(v) == hash(plain)
-        for field in dataclasses.fields(v):
+        # every field name of the vertex classes, and names that are fields
+        # of none or only some of them
+        for name in ("i", "j", "x"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(v, field.name, 1)
+                setattr(v, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(v, name)
         assert pickle.loads(pickle.dumps(v)) == v
         assert copy.copy(v) == v and copy.deepcopy(v) == v
         assert dataclasses.replace(v) == v
         assert repr(v) == repr(plain) and g.point(v) == point
+
+
+def test_grid_graph_refuses_every_assignment():
+    g = GridGraph(2, 3)
+    for name in ("m", "n", "x"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(g, name)
+    assert (g.m, g.n) == (2, 3)
+    assert pickle.loads(pickle.dumps(g)) == g and copy.copy(g) == g
 
 
 def test_hub_is_singleton_value():

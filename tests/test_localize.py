@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -411,6 +412,23 @@ def test_cost_rows_are_in_canonical_order(m, n):
 
 
 @pytest.mark.parametrize("m, n", [(5, 7), (30, 30)])
+def test_costs_take_entries_up_to_32767(m, n):
+    # _probes draws entries 0..6 only; a probe's L1 cost must stay exact up
+    # to k entries of 32767, the int32 headroom MAX_CODE_LENGTH promises
+    g = GridGraph(m, n)
+    table = code_table(g, build_basis(m, n))
+    k = table.code_length
+    rnd = random.Random(m * n)
+    probes = np.array([[rnd.choice((0, 1, 2, 5, 255, 32767)) for _ in range(k)] for _ in range(12)]
+                      + [[entry] * k for entry in (5, 255, 32767)])
+    diff = probes[:, None, :] - table.matrix.astype(np.int64)
+    for metric in ("hamming", "l1"):
+        want = (diff != 0).sum(axis=2) if metric == "hamming" else np.abs(diff).sum(axis=2)
+        assert table.costs(probes, metric).tolist() == want.tolist(), metric
+        assert decode_batch(probes, table, metric) == [decode(p, table, metric) for p in probes]
+
+
+@pytest.mark.parametrize("m, n", [(5, 7), (30, 30)])
 def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
     g = GridGraph(m, n)
     basis = build_basis(m, n)
@@ -682,6 +700,37 @@ def test_noise_flip_rate_and_sign_balance(p):
     assert abs(ups / flips - 0.5) <= 5 * math.sqrt(0.25 / flips)
     assert not localize._hop_noise(localize._noise_key(2024), 0, 2500, 40, 0.0).any()
     assert np.count_nonzero(localize._hop_noise(localize._noise_key(2024), 0, 50, 40, 1.0)) == 2000
+
+
+def _splitmix64_int(z):
+    """SplitMix64 on Python ints, mod 2^64."""
+    mask = (1 << 64) - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def _hop_noise_int(seed, trial, j, p):
+    """Coordinate j's hop error in the given trial, from NoiseModel's
+    definition in Python ints."""
+    key = int.from_bytes(hashlib.sha256(str(seed).encode()).digest()[:8], "big")
+    mask = (1 << 64) - 1
+    h = _splitmix64_int((_splitmix64_int((key + trial) & mask) + j) & mask)
+    if (h >> 11) / 2.0**53 < p:
+        return 1 if h & 1 else -1
+    return 0
+
+
+def test_hop_noise_matches_python_int_splitmix64():
+    key = localize._noise_key(5)
+    # the last first trial makes key + first wrap past 2^64 inside the
+    # block, the one before it from its first trial on
+    for seed, first in ((0, 0), (-3, 10**6), (2**70, 123), (5, 2**64 - key + 7), (5, 2**64 - key - 2)):
+        for p in (0.3, 0.9):
+            got = localize._hop_noise(localize._noise_key(seed), first, 5, 6, p)
+            want = [[_hop_noise_int(seed, first + t, j, p) for j in range(6)] for t in range(5)]
+            assert got.dtype == np.int8 and got.tolist() == want, (seed, first, p)
 
 
 def test_noise_accepts_any_int_seed():
