@@ -28,26 +28,22 @@ from .resolve import _ordered_landmarks, _read, _verdict
 
 _METRICS = ("hamming", "l1")
 
-# A batch decode holds one int32 cost per (probe, vertex) pair, and about as
-# much again while it sums them (see :func:`_canonical_sum`); it takes probes
-# in chunks of at most this many cells (512 KB), or one probe at a time.
+# A batch decode holds one int32 cost per (probe, vertex) pair; it takes
+# probes in chunks of at most this many cells (512 KB), or one probe at a time.
 _CHUNK_CELLS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 
-# The most cells :func:`code_matrix` allocates.  It sums the uint8 matrix
-# through a uint8 temporary of about its size, 2 bytes per cell at the peak,
-# and a code table keeps the matrix as int16, 3 bytes per cell at the peak,
-# so this caps a table near 300 MB; the (300, 300) grid's basis table has 36
-# million cells.  Only :func:`decode` reads a table's matrix, so only it
-# refuses past this cap.
+# The most cells :func:`code_matrix` allocates.  A code table's matrix is
+# built as uint8 and kept as int16, about 3 bytes per cell, so this caps one
+# near 300 MB; the (300, 300) grid's basis table has 36 million cells.  Only
+# :func:`decode` reads a table's matrix, so only it refuses past this cap.
 MAX_TABLE_CELLS = 100_000_000
 
 # The most vertices and landmarks a code table takes (see
 # :func:`_check_code_size`).  Without its matrix a table holds about 8 bytes
 # per vertex, most of them an int64 landmark-count sum over the m x n cells,
-# and a batch decode's cost row takes 4 (8 while it is summed), so this caps
-# a table, and a one-probe decode's costs, near 80 MB.
+# and a batch decode's cost row takes 4, so this caps a table near 80 MB.
 # A probe's distance to a code is an int32 sum of k entries from 0 to 32767,
 # exact while k * 32767 < 2^31.
 MAX_TABLE_VERTICES = 10_000_000
@@ -206,8 +202,9 @@ class CodeTable:
     @functools.cached_property
     def _plan(self):
         """The landmarks' star distances by class and the batch decode's sum
-        plan (see :meth:`costs`): the layers of (term, line) pairs, and the
-        cell landmarks with their canonical indices, built on first use."""
+        plan (see :meth:`costs`): the line terms to gather, the start of each
+        line's run, the lines, and the cell landmarks with their canonical
+        indices, built on first use."""
         m, n = self.graph.m, self.graph.n
         a, b = self.a, self.b
         # s(., a) at classes 0, 1 and 2 of x is s(0, a), 0 and 1 + s(0, a)
@@ -215,16 +212,15 @@ class CodeTable:
         sy = np.multiply.outer(b != 0, (1, 0, 1)) + (0, 0, 1)
         dist = (sx[:, :, None] + sy[:, None, :])[..., None].astype(np.int16)
         # row term w goes to line a and column term k + w to line m + b, the
-        # canonical indices of their relays; layer d takes the d-th term of
-        # each line
+        # canonical indices of their relays; the terms are taken sorted by
+        # line, and each run of one line is summed
         line = np.concatenate([a, (m + b) * (b != 0)])
-        term = np.flatnonzero(line)
-        term = term[np.argsort(line[term], kind="stable")]
-        line = line[term]
-        depth = np.arange(term.shape[0]) - np.searchsorted(line, line)
-        layers = [(term[depth == d], line[depth == d]) for d in range(depth.max(initial=-1) + 1)]
+        take = np.flatnonzero(line)
+        take = take[np.argsort(line[take], kind="stable")]
+        line = line[take]
+        starts = np.flatnonzero(np.diff(line, prepend=0))
         cells = np.flatnonzero((a != 0) & (b != 0))
-        return dist, layers, cells, m + n + (a[cells] - 1) * n + b[cells]
+        return dist, take, starts, line[starts], cells, m + n + (a[cells] - 1) * n + b[cells]
 
     def costs(self, probes: np.ndarray, metric: str) -> np.ndarray:
         """(T, N) int32 Hamming or L1 distances from each probe, a row of
@@ -250,15 +246,13 @@ class CodeTable:
         where P = F[1, 1] - F[1, 2] - F[2, 1] + F[2, 2] applies only at a
         cell landmark's own cell.  So a relay reads one line term and a cell
         a row term plus a column term, with at most k corrections: O(N + k)
-        per probe.  The sums by row and column run in layers, each adding at
-        most one landmark's term to a line, so each layer is one gather and
-        one add, and there are as many layers as the most landmarks in a row
-        or column.  The class costs are indexed (landmark, class of x, class
-        of y, probe), so that each numpy loop runs over the probes of a
-        chunk.
+        per probe.  One gather and one ``reduceat`` sum the row and column
+        terms by line, whatever the landmarks' layout.  The class costs are
+        indexed (landmark, class of x, class of y, probe), so that each numpy
+        loop runs over the probes of a chunk.
         """
         m, n = self.graph.m, self.graph.n
-        dist, layers, cells, cells_at = self._plan
+        dist, take, starts, lines_at, cells, cells_at = self._plan
         # entries reach 32767, so int16, as dist is: mixed dtypes would cast
         # in buffered chunks
         q = probes.T.astype(np.int16, order="C")[:, None, None]
@@ -268,13 +262,14 @@ class CodeTable:
             f = q - dist
             np.abs(f, out=f)
         # row terms F[1, j] - F[2, j], then column terms F[i, 1] - F[i, 2],
-        # for the relays (i, j = 0) and the cells (i, j = 2)
-        terms = np.concatenate([f[:, 1, ::2] - f[:, 2, ::2], f[:, ::2, 1] - f[:, ::2, 2]])
+        # for the relays (i, j = 0) and the cells (i, j = 2); int32, as
+        # reduceat is slower when it casts
+        terms = np.concatenate([f[:, 1, ::2] - f[:, 2, ::2], f[:, ::2, 1] - f[:, ::2, 2]],
+                               dtype=np.int32)
         # line i: the cost of the hub or relay with canonical index i, and
         # the term of the cells in its row or column
         lines = np.zeros((m + n + 1, 2, probes.shape[0]), dtype=np.int32)
-        for term, line in layers:
-            lines[line] += terms[term]
+        lines[lines_at] = np.add.reduceat(terms[take], starts, axis=0)
         # sum F[2, 0] = sum F[0, 2]: both classes are 1 + s(0, a) + s(0, b)
         total = f[:, ::2, ::2].sum(axis=0, dtype=np.int32)
         lines[:, 0] += total[1, 0]
@@ -443,11 +438,16 @@ def _canonical_sum(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     t, m, n = rows.shape[0], rows.shape[1] - 1, cols.shape[1] - 1
     out = np.empty((t, (m + 1) * (n + 1)), dtype=rows.dtype)
     # canonical order is (x, 0) for x = 0..m (hub and rows), then (x, y) for
-    # x = 0..m and y = 1..n row-major (columns, then cells); that block is
-    # summed into a contiguous array and copied in, which beats a broadcast
-    # into out's strided view
+    # x = 0..m and y = 1..n row-major (columns, then cells), whose (t, m + 1,
+    # n) reshape is a view of out; it is summed in slices of rows x of at
+    # most _CHUNK_CELLS cells (or one x), each into a contiguous array copied
+    # in, which beats a broadcast into the strided view and keeps the
+    # temporary small
     np.add(rows, cols[:, :1], out=out[:, :m + 1])
-    out[:, m + 1:] = (rows[:, :, None] + cols[:, None, 1:]).reshape(t, -1)
+    block = out[:, m + 1:].reshape(t, m + 1, n)
+    step = max(1, _CHUNK_CELLS // max(t * n, 1))
+    for x in range(0, m + 1, step):
+        block[:, x:x + step] = rows[:, x:x + step, None] + cols[:, None, 1:]
     return out
 
 
@@ -497,22 +497,17 @@ def _noise_key(seed: int) -> int:
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output of each uint64 counter, written over z and
-    returned; products wrap mod 2^64."""
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+    """SplitMix64's output of each uint64 counter; products wrap mod 2^64."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _hop_noise(key: int, first: int, count: int, k: int, p: float) -> np.ndarray:
     """(count, k) int8 hop errors in {-1, 0, 1} of trials first, first + 1,
     ..., drawn as :class:`NoiseModel` states, before clamping."""
-    trial = np.arange(count, dtype=np.uint64)
-    trial += np.uint64((key + first) & _MASK64)
+    trial = np.arange(count, dtype=np.uint64) + np.uint64((key + first) & _MASK64)
     h = _splitmix64(_splitmix64(trial)[:, None] + np.arange(k, dtype=np.uint64))
     # (h >> 11) / 2^53 < p exactly when the integer h >> 11 < ceil(p 2^53)
     flip = (h >> np.uint64(11)) < np.uint64(math.ceil(p * 2.0**53))
@@ -533,8 +528,7 @@ def _noisy_codes(
         idx = (lo % total + np.arange(count)) % total
         codes = table.ideal(idx)
         if p > 0.0:
-            codes += _hop_noise(key, lo, count, table.code_length, p)
-            np.maximum(codes, 0, out=codes)
+            codes = np.maximum(codes + _hop_noise(key, lo, count, table.code_length, p), 0)
         yield idx, codes
 
 

@@ -38,6 +38,7 @@ from stargrid import (
     metric_code,
     parse_landmark_lines,
 )
+from stargrid import localize
 
 # Every grid with at most 20 vertices, both orientations.
 SMALL_GRIDS = [(m, n) for m in range(1, 10) for n in range(1, 10) if (m + 1) * (n + 1) <= 20]
@@ -355,6 +356,28 @@ def test_code_matrix_on_thin_grid_with_large_star_rows():
     mat = code_matrix(g, landmarks)
     for idx in random.Random(7).sample(range(g.vertex_count()), 40):
         assert mat[idx].tolist() == list(metric_code(g, g.vertex_at(idx), landmarks)), idx
+
+
+def test_code_matrix_sums_its_cells_in_row_slices(monkeypatch):
+    # the cells are summed a few rows at a time: any slice size gives the
+    # BFS table, and the temporaries stay far below a second matrix
+    for cells in (1, 7, 50):
+        monkeypatch.setattr(localize, "_CHUNK_CELLS", cells)
+        for m, n in [(1, 1), (3, 5), (6, 2)]:
+            g = GridGraph(m, n)
+            assert np.array_equal(full_distance_matrix(g), bfs_distances(g)), (cells, m, n)
+        assert code_matrix(GridGraph(4, 4), []).shape == (25, 0)
+    monkeypatch.undo()
+    g = GridGraph(100, 100)
+    landmarks = build_basis(100, 100).landmarks
+    code_matrix(g, landmarks)  # first-call imports and caches are not the sum's
+    tracemalloc.start()
+    try:
+        mat = code_matrix(g, landmarks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * mat.nbytes, (peak, mat.nbytes)
 
 
 def test_code_matrix_refuses_oversized_table():
