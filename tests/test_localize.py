@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import brute_force_decode, pairwise_min_l1
+from reference import brute_force_decode, code_matrix, pairwise_min_l1
 
 from stargrid import (
     HUB,
@@ -24,11 +24,11 @@ from stargrid import (
     ResolvingSet,
     Row,
     build_basis,
-    code_matrix,
     code_table,
     decode,
     decode_batch,
     is_resolving,
+    metric_code,
     parse_vertex,
     simulate,
 )
@@ -41,7 +41,7 @@ SMALL_GRIDS = [(m, n) for m in range(1, 10) for n in range(1, 10) if (m + 1) * (
 def test_code_table_four_cycle():
     g = GridGraph(1, 1)
     table = code_table(g, build_basis(1, 1))
-    codes = {table.code_of(v) for v in g.vertices()}
+    codes = {metric_code(g, v, table.landmarks) for v in g.vertices()}
     assert len(codes) == 4
     assert table.min_pairwise_l1 >= 1
 
@@ -67,7 +67,6 @@ def test_code_table_set_input_matches_its_canonical_resolving_set():
         assert table.landmarks == want.landmarks
         assert table.min_pairwise_l1 == want.min_pairwise_l1
         assert np.array_equal(table.matrix, want.matrix)
-        assert [table.code_of(v) for v in g.vertices()] == [want.code_of(v) for v in g.vertices()]
 
 
 def test_code_table_refuses_long_codes():
@@ -106,18 +105,21 @@ def test_min_pairwise_l1_balanced_grid():
 
 
 def _assert_codes_are_matrix_rows(g, landmarks):
+    """The table's matrix, which decode reads, equals the closed-form twin."""
     table = code_table(g, landmarks)
-    rows = code_matrix(g, tuple(landmarks)).tolist()
-    assert [table.code_of(v) for v in g.vertices()] == [tuple(r) for r in rows], landmarks
+    assert np.array_equal(table.matrix, code_matrix(g, landmarks)), landmarks
 
 
 @pytest.mark.parametrize("m,n", SMALL_GRIDS)
 def test_code_of_matches_code_matrix_on_every_small_resolving_set(m, n):
+    # on these small grids, every vertex's metric code is its matrix row too
     g = GridGraph(m, n)
     for k in range(1, 5):
         for subset in itertools.combinations(g.vertices(), k):
             if is_resolving(g, subset):
                 _assert_codes_are_matrix_rows(g, subset)
+                rows = code_matrix(g, subset).tolist()
+                assert [list(metric_code(g, v, subset)) for v in g.vertices()] == rows, subset
 
 
 @pytest.mark.parametrize("m", range(1, 31))
@@ -242,7 +244,7 @@ def test_decode_identity_on_ideal_codes():
         table = code_table(g, build_basis(m, n))
         for v in g.vertices():
             for metric in ("hamming", "l1"):
-                result = decode(table.code_of(v), table, metric)
+                result = decode(metric_code(g, v, table.landmarks), table, metric)
                 assert result.vertex == v, (m, n, v, metric)
                 assert result.distance == 0
                 assert not result.ambiguous
@@ -266,7 +268,7 @@ def test_decode_single_perturbation_is_safe_under_l1():
     table = code_table(g, build_basis(5, 7))
     assert table.min_pairwise_l1 == 2
     for v in g.vertices():
-        ideal = list(table.code_of(v))
+        ideal = list(metric_code(g, v, table.landmarks))
         for pos in range(len(ideal)):
             for delta in (1, -1):
                 noisy = list(ideal)
@@ -337,7 +339,7 @@ def _probes(rnd, table, count):
     g, k = table.graph, table.code_length
     probes = [tuple(rnd.randint(0, 6) for _ in range(k)) for _ in range(count)]
     for _ in range(count):
-        code = list(table.code_of(g.vertex_at(rnd.randrange(g.vertex_count()))))
+        code = list(metric_code(g, g.vertex_at(rnd.randrange(g.vertex_count())), table.landmarks))
         for pos in rnd.sample(range(k), min(k, rnd.randint(1, 3))):
             code[pos] = max(0, code[pos] + rnd.choice((1, -1)))
         probes.append(tuple(code))
@@ -442,7 +444,8 @@ def test_code_matrix_is_built_on_first_decode_only(m, n, monkeypatch):
     monkeypatch.setattr(localize, "_code_matrix", refuse)
     table = code_table(g, basis)
     assert table.code_length == len(basis)
-    assert [table.code_of(g.vertex_at(i)) for i in picks] == [tuple(p) for p in probes.tolist()]
+    assert [metric_code(g, g.vertex_at(i), table.landmarks) for i in picks] == \
+        [tuple(p) for p in probes.tolist()]
     assert simulate(g, basis, NoiseModel(0.05, seed=3), 200, "l1").trials == 200
     assert [r.vertex for r in decode_batch(probes, table)] == [g.vertex_at(i) for i in picks]
 
@@ -507,7 +510,7 @@ def test_decode_refuses_an_oversized_matrix():
     # not, and only decode reads the matrix
     g = GridGraph(1000, 1000)
     table = code_table(g, build_basis(1000, 1000))
-    code = table.code_of(Cell(7, 9))
+    code = metric_code(g, Cell(7, 9), table.landmarks)
     with pytest.raises(BudgetError, match="limit is 100000000"):
         decode(code, table)
     assert decode_batch([code], table) == [localize.DecodeResult(Cell(7, 9), 0)]
@@ -517,7 +520,7 @@ def test_decode_accepts_numpy_integer_codes():
     g = GridGraph(4, 5)
     table = code_table(g, build_basis(4, 5))
     v = Cell(2, 3)
-    ideal = table.code_of(v)
+    ideal = metric_code(g, v, table.landmarks)
     for dtype in (np.int8, np.int16, np.int64, np.uint8, np.uint64):
         code = np.array(ideal, dtype=dtype)
         assert decode(code, table).vertex == v, dtype

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import random
-import time
 import tracemalloc
 
 import numpy as np
@@ -9,9 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
+    Host,
     adjacency_code,
     adjacency_resolved_by_neighborhoods,
+    hash_is_resolving,
     is_adjacency_resolving,
+    path,
     sort_is_resolving,
 )
 
@@ -24,16 +26,13 @@ from stargrid import (
     InputError,
     ResolvingSet,
     Row,
-    SimpleGraph,
     bfs_distances,
     brute_force_dimension,
     build_aux_graph,
     build_basis,
-    code_matrix,
     code_table,
     dimension,
     enumerate_minimum_bases,
-    full_distance_matrix,
     is_resolving,
     metric_code,
     parse_landmark_lines,
@@ -108,16 +107,15 @@ def test_is_resolving_rejects_bad_landmarks():
         with pytest.raises(InputError, match="out of range"):
             is_resolving(g, [Cell(1, 1), bad])
         with pytest.raises(InputError, match="out of range"):
-            code_matrix(g, [Cell(1, 1), bad])
-        with pytest.raises(InputError, match="out of range"):
             code_table(g, ResolvingSet((Cell(1, 1), bad)))
     with pytest.raises(InputError, match="not a vertex"):
         is_resolving(g, [Cell(1, 1), "r1"])
 
 
-def _same_verdict(g, landmarks):
-    got, want = is_resolving(g, landmarks), sort_is_resolving(g, landmarks)
-    return (got.resolving, got.witness) == (want.resolving, want.witness)
+def _same_verdict(g, landmarks, twins=(sort_is_resolving,)):
+    got = is_resolving(g, landmarks)
+    return all((got.resolving, got.witness) == (want.resolving, want.witness)
+               for want in (twin(g, landmarks) for twin in twins))
 
 
 @pytest.mark.parametrize("m,n", SMALL_GRIDS)
@@ -136,22 +134,35 @@ def test_structural_check_matches_sort_on_every_five_subset(m, n):
         assert _same_verdict(g, subset), subset
 
 
+def _mutants(rnd, g):
+    """The grid's constructed basis with one landmark dropped, one swapped
+    for another vertex, the hub added, and two other vertices added."""
+    base = list(build_basis(g.m, g.n).landmarks)
+    taken = set(base)
+    others = [v for v in g.vertices() if v not in taken]
+    pos = rnd.randrange(len(base))
+    dropped = base[:pos] + base[pos + 1:]
+    swapped = base[:pos] + [rnd.choice(others)] + base[pos + 1:]
+    return dropped, swapped, base + [HUB], base + rnd.sample(others, 2)
+
+
 def test_structural_check_matches_sort_on_mutated_bases():
     # a constructed basis sits right at the resolving boundary, so small
-    # edits to it give the close calls: dropped, swapped or added landmarks
+    # edits to it give the close calls: dropped, swapped or added landmarks.
+    # Sides up to 30 are checked against the sort and the hash twins, and
+    # sides up to 300 and two thin grids, whose code matrices the sort
+    # cannot afford, against the hash twin alone
     rnd = random.Random(31)
+    both = (sort_is_resolving, hash_is_resolving)
     for _ in range(600):
-        m, n = rnd.randint(1, 30), rnd.randint(1, 30)
+        g = GridGraph(rnd.randint(1, 30), rnd.randint(1, 30))
+        for landmarks in _mutants(rnd, g):
+            assert _same_verdict(g, landmarks, both), (g, landmarks)
+    large = [(rnd.randint(1, 300), rnd.randint(1, 300)) for _ in range(50)]
+    for m, n in large + [(1, 20000), (2, 1000)]:
         g = GridGraph(m, n)
-        base = list(build_basis(m, n).landmarks)
-        others = [v for v in g.vertices() if v not in base]
-        pos = rnd.randrange(len(base))
-        dropped = base[:pos] + base[pos + 1:]
-        swapped = base[:pos] + [rnd.choice(others)] + base[pos + 1:]
-        with_hub = base + [HUB]
-        with_two = base + rnd.sample(others, 2)
-        for landmarks in (dropped, swapped, with_hub, with_two):
-            assert _same_verdict(g, landmarks), (m, n, landmarks)
+        for landmarks in _mutants(rnd, g):
+            assert _same_verdict(g, landmarks, (hash_is_resolving,)), (m, n)
 
 
 @st.composite
@@ -278,7 +289,7 @@ def test_adjacency_code_contains_zero_for_members():
 
 
 def test_adjacency_code_isolated_vertex_is_all_twos():
-    host = SimpleGraph(4, [(0, 1)])  # 2 and 3 isolated
+    host = Host(4, [(0, 1)])  # 2 and 3 isolated
     assert adjacency_code(host, 2, [0, 1, 3]) == (2, 2, 2)
 
 
@@ -291,8 +302,8 @@ def test_adjacency_code_on_aux_graph():
 
 
 def test_is_adjacency_resolving_witness_two_untouched():
-    host = SimpleGraph.path(5)
-    verdict = is_adjacency_resolving(host, host.vertices(), [0])
+    host = path(5)
+    verdict = is_adjacency_resolving(host, range(5), [0])
     assert not verdict
     # vertices 2, 3, 4 all read (2,); first colliding pair is (2, 3)
     assert verdict.witness == (2, 3)
@@ -306,11 +317,11 @@ def test_adjacency_resolution_definitions_agree(n, data):
         for v in range(u + 1, n):
             if data.draw(st.booleans()):
                 edges.append((u, v))
-    host = SimpleGraph(n, edges)
+    host = Host(n, edges)
     k = data.draw(st.integers(1, n))
     subset = data.draw(st.permutations(range(n))).copy()[:k]
-    code_view = bool(is_adjacency_resolving(host, host.vertices(), subset))
-    hood_view = adjacency_resolved_by_neighborhoods(host, host.vertices(), subset)
+    code_view = bool(is_adjacency_resolving(host, range(n), subset))
+    hood_view = adjacency_resolved_by_neighborhoods(host, range(n), subset)
     assert code_view == hood_view
 
 
@@ -331,6 +342,13 @@ def test_parse_landmark_lines():
         parse_landmark_lines(["r1", "bogus"])
 
 
+def _code_matrix(g, landmarks):
+    """The code table's matrix kernel on the landmarks' points; repeats
+    are allowed."""
+    a, b = np.array([g.point(w) for w in landmarks], dtype=np.intp).reshape(-1, 2).T
+    return localize._code_matrix(g, a, b)
+
+
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (6, 1), (2, 2), (4, 4), (6, 6)])
 def test_code_matrix_matches_bfs_columns_on_shuffled_landmarks(m, n):
     # the hub, relays and cells mixed in any order: column t is the BFS column
@@ -342,7 +360,7 @@ def test_code_matrix_matches_bfs_columns_on_shuffled_landmarks(m, n):
     draws = [[v] for v in verts] + [rnd.sample(verts, len(verts)) for _ in range(3)]
     draws += [rnd.sample(verts, rnd.randint(2, len(verts) - 1)) for _ in range(10)]
     for landmarks in draws:
-        got = code_matrix(g, landmarks)
+        got = _code_matrix(g, landmarks)
         want = bfs[:, [g.index_of(w) for w in landmarks]]
         assert got.dtype == np.uint8 and got.shape == want.shape
         assert np.array_equal(got, want), (m, n, landmarks)
@@ -353,7 +371,7 @@ def test_code_matrix_on_thin_grid_with_large_star_rows():
     # a temporary as the output of the next operation
     g = GridGraph(1, 1000)
     landmarks = build_basis(1, 1000).landmarks
-    mat = code_matrix(g, landmarks)
+    mat = _code_matrix(g, landmarks)
     for idx in random.Random(7).sample(range(g.vertex_count()), 40):
         assert mat[idx].tolist() == list(metric_code(g, g.vertex_at(idx), landmarks)), idx
 
@@ -365,15 +383,15 @@ def test_code_matrix_sums_its_cells_in_row_slices(monkeypatch):
         monkeypatch.setattr(localize, "_CHUNK_CELLS", cells)
         for m, n in [(1, 1), (3, 5), (6, 2)]:
             g = GridGraph(m, n)
-            assert np.array_equal(full_distance_matrix(g), bfs_distances(g)), (cells, m, n)
-        assert code_matrix(GridGraph(4, 4), []).shape == (25, 0)
+            assert np.array_equal(_code_matrix(g, g.vertices()), bfs_distances(g)), (cells, m, n)
+        assert _code_matrix(GridGraph(4, 4), []).shape == (25, 0)
     monkeypatch.undo()
     g = GridGraph(100, 100)
     landmarks = build_basis(100, 100).landmarks
-    code_matrix(g, landmarks)  # first-call imports and caches are not the sum's
+    _code_matrix(g, landmarks)  # first-call imports and caches are not the sum's
     tracemalloc.start()
     try:
-        mat = code_matrix(g, landmarks)
+        mat = _code_matrix(g, landmarks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,27 +400,12 @@ def test_code_matrix_sums_its_cells_in_row_slices(monkeypatch):
 
 def test_code_matrix_refuses_oversized_table():
     # (100, 100)'s full table, 10,201 x 10,201 cells, is just over the limit
+    g = GridGraph(100, 100)
     with pytest.raises(BudgetError, match="10201 x 10201 = 104060401 cells, limit is 100000000"):
-        full_distance_matrix(GridGraph(100, 100))
+        _code_matrix(g, g.vertices())
     with pytest.raises(BudgetError, match="limit is 100000000"):
-        code_matrix(GridGraph(1000, 1000), build_basis(1000, 1000).landmarks)
-    assert code_matrix(GridGraph(99, 99), [HUB]).shape == (10000, 1)
-
-
-def test_full_distance_matrix_refuses_without_making_vertices(monkeypatch):
-    # the N x N size is checked before any point is read, and the points
-    # come from the canonical indices, not from vertex objects
-    def refuse(self):
-        raise AssertionError("full_distance_matrix made the vertex list")
-
-    g = GridGraph(4, 6)
-    bfs = bfs_distances(g)
-    monkeypatch.setattr(GridGraph, "vertices", refuse)
-    start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"1002001 x 1002001 = \d+ cells, limit is 100000000"):
-        full_distance_matrix(GridGraph(1000, 1000))
-    assert time.perf_counter() - start < 0.1
-    assert np.array_equal(full_distance_matrix(g), bfs)
+        _code_matrix(GridGraph(1000, 1000), build_basis(1000, 1000).landmarks)
+    assert _code_matrix(GridGraph(99, 99), [HUB]).shape == (10000, 1)
 
 
 # Each entry point that checks a landmark set against a grid, as f(g, W).
