@@ -26,6 +26,8 @@ _METRICS = ("hamming", "l1")
 
 # A batch decode holds one int32 cost per (probe, vertex) pair; it takes
 # probes in chunks of at most this many cells (512 KB), or one probe at a time.
+# A chunk of T probes sums 4 k T line terms, k T <= this many too, as k <= N
+# (and k <= MAX_CODE_LENGTH when T = 1).
 _CHUNK_CELLS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
@@ -193,9 +195,8 @@ class CodeTable:
     @functools.cached_property
     def _plan(self):
         """The landmarks' star distances by class and the batch decode's sum
-        plan (see :meth:`costs`): the line terms to gather, the start of each
-        line's run, the lines, and the cell landmarks with their canonical
-        indices, built on first use."""
+        plan (see :meth:`_costs`): the line of each row and column term, and
+        the cell landmarks with their canonical indices, built on first use."""
         m, n = self.graph.m, self.graph.n
         a, b = self.a, self.b
         # s(., a) at classes 0, 1 and 2 of x is s(0, a), 0 and 1 + s(0, a)
@@ -203,21 +204,18 @@ class CodeTable:
         sy = np.multiply.outer(b != 0, (1, 0, 1)) + (0, 0, 1)
         dist = (sx[:, :, None] + sy[:, None, :])[..., None].astype(np.int16)
         # row term w goes to line a and column term k + w to line m + b, the
-        # canonical indices of their relays; the terms are taken sorted by
-        # line, and each run of one line is summed
+        # canonical indices of their relays; a landmark with a = 0 or b = 0
+        # sends that term to line 0, whose sums are overwritten or never read
         line = np.concatenate([a, (m + b) * (b != 0)])
-        take = np.flatnonzero(line)
-        take = take[np.argsort(line[take], kind="stable")]
-        line = line[take]
-        starts = np.flatnonzero(np.diff(line, prepend=0))
         cells = np.flatnonzero((a != 0) & (b != 0))
-        return dist, take, starts, line[starts], cells, m + n + (a[cells] - 1) * n + b[cells]
+        return dist, line, cells, m + n + (a[cells] - 1) * n + b[cells]
 
-    def costs(self, probes: np.ndarray, metric: str) -> np.ndarray:
+    def _costs(self, probes: np.ndarray, metric: str) -> np.ndarray:
         """(T, N) int32 Hamming or L1 distances from each probe, a row of
         integers from 0 to 32767, to the code of every vertex in canonical
         order, the order of ``matrix``, from line and point terms, never from
-        the N x k matrix.
+        the N x k matrix.  The caller checks the metric and the entries
+        (:func:`_check_metric`, :func:`_hop_counts`).
 
         Landmark w's distance to vertex (x, y) is s(x, a) + s(y, b).  The
         star distance s(., a) takes one value at x = 0, one at x = a and a
@@ -237,13 +235,14 @@ class CodeTable:
         where P = F[1, 1] - F[1, 2] - F[2, 1] + F[2, 2] applies only at a
         cell landmark's own cell.  So a relay reads one line term and a cell
         a row term plus a column term, with at most k corrections: O(N + k)
-        per probe.  One gather and one ``reduceat`` sum the row and column
-        terms by line, whatever the landmarks' layout.  The class costs are
-        indexed (landmark, class of x, class of y, probe), so that each numpy
-        loop runs over the probes of a chunk.
+        per probe.  One weighted ``bincount`` adds the 2k row and column
+        terms into their lines, whatever the landmarks' layout, and one
+        broadcast sum writes every cell's row plus column term.  The class
+        costs are indexed (landmark, class of x, class of y, probe), so that
+        each numpy loop runs over the probes of a chunk.
         """
-        m, n = self.graph.m, self.graph.n
-        dist, take, starts, lines_at, cells, cells_at = self._plan
+        m, n, t = self.graph.m, self.graph.n, probes.shape[0]
+        dist, line, cells, cells_at = self._plan
         # entries reach 32767, so int16, as dist is: mixed dtypes would cast
         # in buffered chunks
         q = probes.T.astype(np.int16, order="C")[:, None, None]
@@ -253,23 +252,26 @@ class CodeTable:
             f = q - dist
             np.abs(f, out=f)
         # row terms F[1, j] - F[2, j], then column terms F[i, 1] - F[i, 2],
-        # for the relays (i, j = 0) and the cells (i, j = 2); int32, as
-        # reduceat is slower when it casts
-        terms = np.concatenate([f[:, 1, ::2] - f[:, 2, ::2], f[:, ::2, 1] - f[:, ::2, 2]],
-                               dtype=np.int32)
-        # line i: the cost of the hub or relay with canonical index i, and
-        # the term of the cells in its row or column
-        lines = np.zeros((m + n + 1, 2, probes.shape[0]), dtype=np.int32)
-        lines[lines_at] = np.add.reduceat(terms[take], starts, axis=0)
+        # for the relays (i, j = 0) and the cells (i, j = 2)
+        terms = np.concatenate([f[:, 1, ::2] - f[:, 2, ::2], f[:, ::2, 1] - f[:, ::2, 2]])
+        # lines[j, p, i]: for probe p, the cost of the hub or relay with
+        # canonical index i (j = 0) and the term of the cells in its row or
+        # column (j = 1); bincount sums in float64, exactly, as every sum
+        # stays below 2^31 (see MAX_CODE_LENGTH)
+        r = m + n + 1  # the hub and the relays, one line each
+        at = np.arange(2 * t) * r + line[:, None]
+        lines = np.bincount(at.ravel(), terms.ravel(), 2 * t * r)
+        lines = lines.astype(np.int32).reshape(2, t, r)
         # sum F[2, 0] = sum F[0, 2]: both classes are 1 + s(0, a) + s(0, b)
         total = f[:, ::2, ::2].sum(axis=0, dtype=np.int32)
-        lines[:, 0] += total[1, 0]
-        lines[0, 0] = total[0, 0]
-        lines[1:m + 1, 1] += total[1, 1]
-        lines = np.ascontiguousarray(lines.transpose(2, 1, 0))
-        # the cells' row plus column terms; the hub and relays are overwritten
-        out = _canonical_sum(lines[:, 1, :m + 1], lines[:, 1, m:])
-        out[:, :m + n + 1] = lines[:, 0]
+        lines[0] += total[1, 0, :, None]
+        lines[0, :, 0] = total[0, 0]
+        lines[1, :, 1:m + 1] += total[1, 1, :, None]
+        out = np.empty((t, (m + 1) * (n + 1)), dtype=np.int32)
+        out[:, :r] = lines[0]
+        # canonical order puts cell (x, y) at m + n + (x - 1) n + y
+        np.add(lines[1, :, 1:m + 1, None], lines[1, :, None, m + 1:],
+               out=out[:, r:].reshape(t, m, n))
         out[:, cells_at] += (f[cells, 1, 1] - f[cells, 2, 1] - terms[cells, 1]).T
         return out
 
@@ -343,7 +345,7 @@ def decode_batch(probes, table: CodeTable, metric: str = "hamming") -> list[Deco
     """``[decode(p, table, metric) for p in probes]``, ties included.
 
     Decodes structurally, from row, column and point terms of the landmarks'
-    star distances (see :meth:`CodeTable.costs`): O(N + k) per probe, in
+    star distances (see :meth:`CodeTable._costs`): O(N + k) per probe, in
     chunks of probes, without reading the table's N x k matrix, so it runs
     on any table.  Costs come in canonical order, as :func:`decode`'s
     distances do, so ties are listed as it lists them.  ``probes`` is a
@@ -358,7 +360,7 @@ def decode_batch(probes, table: CodeTable, metric: str = "hamming") -> list[Deco
     chunk = max(1, _CHUNK_CELLS // len(table))
     out: list[DecodeResult] = []
     for lo in range(0, arr.shape[0], chunk):
-        costs = table.costs(arr[lo:lo + chunk], metric)
+        costs = table._costs(arr[lo:lo + chunk], metric)
         best, dist, tied = _nearest_batch(costs)
         for row, i, d, tie in zip(costs, best.tolist(), dist.tolist(), tied.tolist()):
             if not tie:
@@ -396,27 +398,13 @@ def _code_matrix(g: GridGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     rows = star_distance(a[:, None], np.arange(m + 1)).view(np.uint8)
     cols = star_distance(b[:, None], np.arange(n + 1)).view(np.uint8)
-    return _canonical_sum(rows, cols).T
-
-
-def _canonical_sum(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (T, N) array whose entry (t, i) is rows[t, x] + cols[t, y] for
-    the point (x, y) of canonical index i, from a (T, m + 1) row term and a
-    (T, n + 1) column term, in their dtype."""
-    t, m, n = rows.shape[0], rows.shape[1] - 1, cols.shape[1] - 1
-    out = np.empty((t, (m + 1) * (n + 1)), dtype=rows.dtype)
+    out = np.empty((k, total), dtype=np.uint8)
     # canonical order is (x, 0) for x = 0..m (hub and rows), then (x, y) for
-    # x = 0..m and y = 1..n row-major (columns, then cells), whose (t, m + 1,
-    # n) reshape is a view of out; it is summed in slices of rows x of at
-    # most _CHUNK_CELLS cells (or one x), each into a contiguous array copied
-    # in, which beats a broadcast into the strided view and keeps the
-    # temporary small
+    # x = 0..m and y = 1..n row-major (columns, then cells), a (k, m + 1, n)
+    # view of out; both sums write there, with no temporary
     np.add(rows, cols[:, :1], out=out[:, :m + 1])
-    block = out[:, m + 1:].reshape(t, m + 1, n)
-    step = max(1, _CHUNK_CELLS // max(t * n, 1))
-    for x in range(0, m + 1, step):
-        block[:, x:x + step] = rows[:, x:x + step, None] + cols[:, None, 1:]
-    return out
+    np.add(rows[:, :, None], cols[:, None, 1:], out=out[:, m + 1:].reshape(k, m + 1, n))
+    return out.T
 
 
 def _check_code_size(g: GridGraph, k: int) -> None:
@@ -535,7 +523,7 @@ def simulate(
     wrong = 0
     ties = 0
     for truth, codes in _noisy_codes(table, noise, first_trial, trials):
-        best, _, tied = _nearest_batch(table.costs(codes, metric))
+        best, _, tied = _nearest_batch(table._costs(codes, metric))
         ties += int(np.count_nonzero(tied))
         wrong += int(np.count_nonzero(~tied & (best != truth)))
     return SimulationResult(

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -393,7 +394,8 @@ def test_decode_batch_chunks_agree(monkeypatch):
         assert decode_batch(probes, table, "l1") == whole, cells
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (4, 4), (5, 7)])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (4, 4), (5, 7),
+                                 (2, 40), (40, 2), (1, 30)])
 def test_cost_rows_are_in_canonical_order(m, n):
     # column i of the costs is the distance to the code of the vertex with
     # canonical index i, the row of the matrix that decode compares
@@ -405,7 +407,7 @@ def test_cost_rows_are_in_canonical_order(m, n):
         probes = np.array(_probes(random.Random(m * n), table, 10))
         codes = table.matrix.astype(np.int64)
         for metric in ("hamming", "l1"):
-            costs = table.costs(probes, metric)
+            costs = table._costs(probes, metric)
             assert costs.shape == (len(probes), g.vertex_count())
             for i in range(g.vertex_count()):
                 diff = probes - codes[i]
@@ -426,8 +428,44 @@ def test_costs_take_entries_up_to_32767(m, n):
     diff = probes[:, None, :] - table.matrix.astype(np.int64)
     for metric in ("hamming", "l1"):
         want = (diff != 0).sum(axis=2) if metric == "hamming" else np.abs(diff).sum(axis=2)
-        assert table.costs(probes, metric).tolist() == want.tolist(), metric
+        assert table._costs(probes, metric).tolist() == want.tolist(), metric
         assert decode_batch(probes, table, metric) == [decode(p, table, metric) for p in probes]
+
+
+def _traced_peak(fn):
+    """fn's result and its tracemalloc peak, after one untraced warm-up call
+    (first-call imports and caches are not the kernel's)."""
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_code_matrix_and_costs_make_no_output_sized_temporary():
+    # both kernels write their sums straight into their output.  The (300,
+    # 300) basis's 36.24 MB code matrix peaked at 36.50 MB.  The cost kernel
+    # holds its (T, N) int32 output, the 4 k T int64 bincount index, and
+    # about 20 bytes per landmark or line and probe at (300, 300), 32 at
+    # (2, 1000): class costs, line terms and their float64 copy, line sums
+    g = GridGraph(300, 300)
+    table = code_table(g, build_basis(300, 300))
+    mat, peak = _traced_peak(lambda: localize._code_matrix(g, table.a, table.b))
+    assert mat.nbytes == g.vertex_count() * table.code_length
+    assert peak < 1.02 * mat.nbytes, (peak, mat.nbytes)
+    del mat
+    rnd = np.random.default_rng(3)
+    for m, n, t in [(300, 300, 16), (2, 1000, 64)]:
+        g = GridGraph(m, n)
+        table = code_table(g, build_basis(m, n))
+        k = table.code_length
+        probes = rnd.integers(0, 5, (t, k)).astype(np.int16)
+        for metric in ("hamming", "l1"):
+            out, peak = _traced_peak(lambda: table._costs(probes, metric))
+            slack = 48 * (k + m + n + 1) * t
+            assert peak < out.nbytes + 32 * k * t + slack, (m, n, metric, peak, out.nbytes)
 
 
 @pytest.mark.parametrize("m, n", [(5, 7), (30, 30)])

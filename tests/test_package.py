@@ -37,6 +37,9 @@ def test_test_only_names_are_gone(name, home):
 
 @pytest.mark.parametrize("cls, name", [
     (localize.CodeTable, "code_of"),
+    # the unchecked cost kernel is private: decode_batch and simulate check
+    # the metric and the entries before they call CodeTable._costs
+    (localize.CodeTable, "costs"),
     (auxgraph.AuxGraph, "neighbors"),
     (auxgraph.AuxGraph, "index_of"),
 ])
